@@ -1,43 +1,120 @@
-let gate_to_qasm gate =
-  match gate with
-  | Gate.One_qubit (kind, q) -> begin
-    match kind with
-    | Gate.Rx a -> Printf.sprintf "rx(%.17g) q[%d];" a q
-    | Gate.Ry a -> Printf.sprintf "ry(%.17g) q[%d];" a q
-    | Gate.Rz a -> Printf.sprintf "rz(%.17g) q[%d];" a q
-    | Gate.U1 a -> Printf.sprintf "u1(%.17g) q[%d];" a q
-    | Gate.H | Gate.X | Gate.Y | Gate.Z | Gate.S | Gate.Sdg | Gate.T
-    | Gate.Tdg ->
-      Printf.sprintf "%s q[%d];" (Gate.one_qubit_name kind) q
-  end
-  | Gate.Cnot { control; target } ->
-    Printf.sprintf "cx q[%d],q[%d];" control target
-  | Gate.Swap (a, b) -> Printf.sprintf "swap q[%d],q[%d];" a b
-  | Gate.Measure { qubit; cbit } ->
-    Printf.sprintf "measure q[%d] -> c[%d];" qubit cbit
-  | Gate.Barrier [] -> "barrier q;"
-  | Gate.Barrier qs ->
-    let operands = List.map (Printf.sprintf "q[%d]") qs in
-    Printf.sprintf "barrier %s;" (String.concat "," operands)
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [Printf]'s [%.17g] is this primitive applied to the format "%.17g",
+   and [%d] is [string_of_int]; writing the same conversions directly
+   keeps every rendered byte (and so every circuit fingerprint) while
+   skipping the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let chunk_size = 256
+
+let fold_rendering f init c =
+  let chunk = Bytes.create chunk_size in
+  let fill = ref 0 in
+  let acc = ref init in
+  let flush () =
+    if !fill > 0 then begin
+      acc := f !acc chunk 0 !fill;
+      fill := 0
+    end
+  in
+  (* every piece (a fixed token, an int's digits, a %.17g angle) is far
+     shorter than a chunk, so it always fits after a flush *)
+  let reserve n = if !fill + n > chunk_size then flush () in
+  let put s =
+    let n = String.length s in
+    reserve n;
+    Bytes.blit_string s 0 chunk !fill n;
+    fill := !fill + n
+  in
+  let put_int n =
+    if n < 0 then put (string_of_int n)
+    else begin
+      let digits = ref 1 and rest = ref (n / 10) in
+      while !rest > 0 do
+        incr digits;
+        rest := !rest / 10
+      done;
+      reserve !digits;
+      let rest = ref n in
+      for i = !fill + !digits - 1 downto !fill do
+        Bytes.set chunk i (Char.chr (Char.code '0' + (!rest mod 10)));
+        rest := !rest / 10
+      done;
+      fill := !fill + !digits
+    end
+  in
+  let qubit q =
+    put "q[";
+    put_int q;
+    put "]"
+  in
+  let gate g =
+    (match g with
+    | Gate.One_qubit (kind, q) ->
+      put (Gate.one_qubit_name kind);
+      (match kind with
+      | Gate.Rx a | Gate.Ry a | Gate.Rz a | Gate.U1 a ->
+        put "(";
+        put (format_float "%.17g" a);
+        put ") "
+      | Gate.H | Gate.X | Gate.Y | Gate.Z | Gate.S | Gate.Sdg | Gate.T
+      | Gate.Tdg ->
+        put " ");
+      qubit q
+    | Gate.Cnot { control; target } ->
+      put "cx ";
+      qubit control;
+      put ",";
+      qubit target
+    | Gate.Swap (a, b) ->
+      put "swap ";
+      qubit a;
+      put ",";
+      qubit b
+    | Gate.Measure { qubit = q; cbit } ->
+      put "measure ";
+      qubit q;
+      put " -> c[";
+      put_int cbit;
+      put "]"
+    | Gate.Barrier [] -> put "barrier q"
+    | Gate.Barrier (q :: qs) ->
+      put "barrier ";
+      qubit q;
+      List.iter
+        (fun q ->
+          put ",";
+          qubit q)
+        qs);
+    put ";\n"
+  in
+  put "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[";
+  put_int (Circuit.num_qubits c);
+  put "];\ncreg c[";
+  put_int (Circuit.num_cbits c);
+  put "];\n";
+  List.iter gate (Circuit.gates c);
+  flush ();
+  !acc
 
 let to_string c =
   let buffer = Buffer.create 256 in
-  Buffer.add_string buffer "OPENQASM 2.0;\n";
-  Buffer.add_string buffer "include \"qelib1.inc\";\n";
-  Buffer.add_string buffer
-    (Printf.sprintf "qreg q[%d];\n" (Circuit.num_qubits c));
-  Buffer.add_string buffer
-    (Printf.sprintf "creg c[%d];\n" (Circuit.num_cbits c));
-  List.iter
-    (fun gate ->
-      Buffer.add_string buffer (gate_to_qasm gate);
-      Buffer.add_char buffer '\n')
-    (Circuit.gates c);
+  fold_rendering
+    (fun () chunk off len -> Buffer.add_subbytes buffer chunk off len)
+    () c;
   Buffer.contents buffer
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* One indexed pass over the text.  A statement is a span [a, b) of a
+   source string: the text itself, or, for the rare statement with a
+   comment inside it, a copy with the comments cut out.  Substrings are
+   only built for register names, angle lexemes and error messages. *)
 
 module Diagnostic = Vqc_diag.Diagnostic
 
@@ -54,369 +131,436 @@ let fail_diag code fmt =
     (fun message -> raise (Diag_error (Diagnostic.error code message)))
     fmt
 
-let strip_comments text =
-  let buffer = Buffer.create (String.length text) in
-  let lines = String.split_on_char '\n' text in
-  List.iter
-    (fun line ->
-      let line =
-        match String.index_opt line '/' with
-        | Some i
-          when i + 1 < String.length line && line.[i + 1] = '/' ->
-          String.sub line 0 i
-        | Some _ | None -> line
-      in
-      Buffer.add_string buffer line;
-      Buffer.add_char buffer '\n')
-    lines;
-  Buffer.contents buffer
+(* A closing bracket before the opening one has always been reported as
+   the unlocated failure of the [String.sub] that cut the text between
+   them; the message stays that byte sequence. *)
+let reversed_brackets () = invalid_arg "String.sub / Bytes.sub"
 
-(* Statements with the 1-based line their first token sits on, so parse
-   errors can point at the offending statement. *)
-let statements text =
-  let text = strip_comments text in
-  let len = String.length text in
-  let result = ref [] in
-  let buffer = Buffer.create 64 in
-  let line = ref 1 in
-  let start_line = ref 0 in
-  let flush_statement () =
-    let s = String.trim (Buffer.contents buffer) in
-    if s <> "" then result := (max 1 !start_line, s) :: !result;
-    Buffer.clear buffer;
-    start_line := 0
-  in
-  for i = 0 to len - 1 do
-    let c = text.[i] in
-    if c = ';' then flush_statement ()
-    else begin
-      if !start_line = 0 && c <> ' ' && c <> '\t' && c <> '\n' && c <> '\r'
-      then start_line := !line;
-      Buffer.add_char buffer c
-    end;
-    if c = '\n' then incr line
-  done;
-  flush_statement ();
-  List.rev !result
+(* [String.trim]'s whitespace *)
+let is_space = function
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+  | _ -> false
+
+let rec skip_space src a b =
+  if a < b && is_space src.[a] then skip_space src (a + 1) b else a
+
+let rec back_space src a b =
+  if b > a && is_space src.[b - 1] then back_space src a (b - 1) else b
+
+let sub src a b = String.sub src a (b - a)
+
+let trimmed src a b =
+  let a = skip_space src a b in
+  sub src a (back_space src a b)
+
+let rec index src a b c =
+  if a >= b then -1 else if src.[a] = c then a else index src (a + 1) b c
+
+let rec rindex src a b c =
+  if b <= a then -1
+  else if src.[b - 1] = c then b - 1
+  else rindex src a (b - 1) c
+
+let rec same_from src a word i =
+  i = String.length word
+  || (src.[a + i] = word.[i] && same_from src a word (i + 1))
+
+let equal_span src a b word =
+  b - a = String.length word && same_from src a word 0
+
+(* The value of a run of decimal digits, or -1 if another byte occurs. *)
+let rec decimal src i b n =
+  if i = b then n
+  else
+    match src.[i] with
+    | '0' .. '9' as d ->
+      decimal src (i + 1) b ((10 * n) + Char.code d - Char.code '0')
+    | _ -> -1
+
+exception Not_an_int
+
+(* [int_of_string] of the trimmed span; plain digit runs (every index a
+   renderer writes) are read in place.
+   @raise Not_an_int where [int_of_string] fails. *)
+let int_of_span src a b =
+  let a = skip_space src a b in
+  let b = back_space src a b in
+  let n = if b > a && b - a <= 18 then decimal src a b 0 else -1 in
+  if n >= 0 then n
+  else
+    match int_of_string_opt (sub src a b) with
+    | Some n -> n
+    | None -> raise Not_an_int
 
 (* --- tiny arithmetic evaluator for gate angles --------------------- *)
 
-let eval_angle text =
-  let len = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < len then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let skip_spaces () =
-    while !pos < len && (text.[!pos] = ' ' || text.[!pos] = '\t') do
-      advance ()
-    done
-  in
-  let rec expression () =
-    let left = ref (term ()) in
-    let rec more () =
-      skip_spaces ();
-      match peek () with
-      | Some '+' ->
-        advance ();
-        left := !left +. term ();
-        more ()
-      | Some '-' ->
-        advance ();
-        left := !left -. term ();
-        more ()
-      | Some _ | None -> ()
-    in
-    more ();
-    !left
-  and term () =
-    let left = ref (factor ()) in
-    let rec more () =
-      skip_spaces ();
-      match peek () with
-      | Some '*' ->
-        advance ();
-        left := !left *. factor ();
-        more ()
-      | Some '/' ->
-        advance ();
-        let divisor = factor () in
-        if divisor = 0.0 then fail "angle: division by zero";
-        left := !left /. divisor;
-        more ()
-      | Some _ | None -> ()
-    in
-    more ();
-    !left
-  and factor () =
-    skip_spaces ();
-    match peek () with
-    | Some '-' ->
-      advance ();
-      -.factor ()
-    | Some '+' ->
-      advance ();
-      factor ()
-    | Some '(' ->
-      advance ();
-      let value = expression () in
-      skip_spaces ();
-      (match peek () with
-      | Some ')' -> advance ()
-      | Some _ | None -> fail "angle: expected ')' in %S" text);
-      value
-    | Some ('p' | 'P') ->
-      if !pos + 1 < len && Char.lowercase_ascii text.[!pos + 1] = 'i' then begin
-        pos := !pos + 2;
-        Float.pi
-      end
-      else fail "angle: unexpected identifier in %S" text
-    | Some c when (c >= '0' && c <= '9') || c = '.' ->
-      let start = !pos in
-      while
-        !pos < len
-        && (let d = text.[!pos] in
-            (d >= '0' && d <= '9')
-            || d = '.' || d = 'e' || d = 'E'
-            || ((d = '+' || d = '-')
-               && !pos > start
-               && (text.[!pos - 1] = 'e' || text.[!pos - 1] = 'E')))
-      do
-        advance ()
-      done;
-      float_of_string (String.sub text start (!pos - start))
-    | Some c -> fail "angle: unexpected character %c in %S" c text
-    | None -> fail "angle: empty expression"
-  in
-  let value = expression () in
-  skip_spaces ();
-  if !pos <> len then fail "angle: trailing garbage in %S" text;
+(* Recursive descent over the angle text [first, stop) of [src]. *)
+type cursor = {
+  src : string;
+  first : int;
+  stop : int;
+  mutable pos : int;
+}
+
+let angle_text c = sub c.src c.first c.stop
+let next_is c ch = c.pos < c.stop && c.src.[c.pos] = ch
+
+let rec skip_blanks c =
+  if next_is c ' ' || next_is c '\t' then begin
+    c.pos <- c.pos + 1;
+    skip_blanks c
+  end
+
+let rec expression c = more_terms c (term c)
+
+and more_terms c left =
+  skip_blanks c;
+  if next_is c '+' then begin
+    c.pos <- c.pos + 1;
+    more_terms c (left +. term c)
+  end
+  else if next_is c '-' then begin
+    c.pos <- c.pos + 1;
+    more_terms c (left -. term c)
+  end
+  else left
+
+and term c = more_factors c (factor c)
+
+and more_factors c left =
+  skip_blanks c;
+  if next_is c '*' then begin
+    c.pos <- c.pos + 1;
+    more_factors c (left *. factor c)
+  end
+  else if next_is c '/' then begin
+    c.pos <- c.pos + 1;
+    let divisor = factor c in
+    if divisor = 0.0 then fail "angle: division by zero";
+    more_factors c (left /. divisor)
+  end
+  else left
+
+and factor c =
+  skip_blanks c;
+  if c.pos >= c.stop then fail "angle: empty expression";
+  match c.src.[c.pos] with
+  | '-' ->
+    c.pos <- c.pos + 1;
+    -.factor c
+  | '+' ->
+    c.pos <- c.pos + 1;
+    factor c
+  | '(' ->
+    c.pos <- c.pos + 1;
+    let value = expression c in
+    skip_blanks c;
+    if next_is c ')' then c.pos <- c.pos + 1
+    else fail "angle: expected ')' in %S" (angle_text c);
+    value
+  | 'p' | 'P' ->
+    if c.pos + 1 < c.stop && Char.lowercase_ascii c.src.[c.pos + 1] = 'i'
+    then begin
+      c.pos <- c.pos + 2;
+      Float.pi
+    end
+    else fail "angle: unexpected identifier in %S" (angle_text c)
+  | '0' .. '9' | '.' -> number c c.pos
+  | ch -> fail "angle: unexpected character %c in %S" ch (angle_text c)
+
+(* Digits, '.', 'e' and 'E', and a sign right after an exponent mark. *)
+and number c start =
+  let src = c.src in
+  if
+    c.pos < c.stop
+    &&
+    match src.[c.pos] with
+    | '0' .. '9' | '.' | 'e' | 'E' -> true
+    | '+' | '-' ->
+      c.pos > start && (src.[c.pos - 1] = 'e' || src.[c.pos - 1] = 'E')
+    | _ -> false
+  then begin
+    c.pos <- c.pos + 1;
+    number c start
+  end
+  else begin
+    let lexeme = sub src start c.pos in
+    match float_of_string_opt lexeme with
+    | Some value -> value
+    | None -> fail "angle: bad number %S in %S" lexeme (angle_text c)
+  end
+
+let eval_angle src first stop =
+  let c = { src; first; stop; pos = first } in
+  let value = expression c in
+  skip_blanks c;
+  if c.pos <> stop then fail "angle: trailing garbage in %S" (angle_text c);
   value
 
-(* --- register tracking --------------------------------------------- *)
+(* --- registers and operands ----------------------------------------- *)
 
-type registers = {
+type state = {
   mutable qregs : (string * int * int) list;  (* name, offset, size *)
   mutable cregs : (string * int * int) list;
   mutable qtotal : int;
   mutable ctotal : int;
+  mutable rev_gates : Gate.t list;
 }
 
-let find_register regs name =
-  match List.find_opt (fun (n, _, _) -> n = name) regs with
-  | Some entry -> entry
-  | None -> fail "unknown register %s" name
+let emit st gate = st.rev_gates <- gate :: st.rev_gates
 
-(* Parse "name[idx]" or bare "name"; returns flat indices. *)
-let resolve regs operand =
-  let operand = String.trim operand in
-  match String.index_opt operand '[' with
-  | Some open_bracket ->
-    let close_bracket =
-      match String.index_opt operand ']' with
-      | Some i -> i
-      | None -> fail "missing ']' in %S" operand
-    in
-    let name = String.trim (String.sub operand 0 open_bracket) in
-    let index_text =
-      String.sub operand (open_bracket + 1) (close_bracket - open_bracket - 1)
-    in
+let rec lookup regs src a b =
+  match regs with
+  | [] -> fail "unknown register %s" (sub src a b)
+  | ((name, _, _) as register) :: rest ->
+    if equal_span src a b name then register else lookup rest src a b
+
+(* The first-declared register named by the trimmed span, as
+   [(name, offset, size)]. *)
+let find_register regs src a b =
+  let a = skip_space src a b in
+  lookup regs src a (back_space src a b)
+
+(* "name[idx]" or a bare register name: the [count] consecutive flat
+   indices from [first], as [(first, count)]. *)
+let resolve regs src a b =
+  let a = skip_space src a b in
+  let b = back_space src a b in
+  let open_bracket = index src a b '[' in
+  if open_bracket < 0 then begin
+    let _, offset, size = find_register regs src a b in
+    (offset, size)
+  end
+  else begin
+    let close_bracket = index src a b ']' in
+    if close_bracket < 0 then fail "missing ']' in %S" (sub src a b);
+    if close_bracket < open_bracket then reversed_brackets ();
     let index =
-      try int_of_string (String.trim index_text)
-      with Failure _ -> fail "bad index in %S" operand
+      match int_of_span src (open_bracket + 1) close_bracket with
+      | index -> index
+      | exception Not_an_int -> fail "bad index in %S" (sub src a b)
     in
-    let _, offset, size = find_register regs name in
+    let _, offset, size = find_register regs src a open_bracket in
     if index < 0 || index >= size then
       fail_diag Diagnostic.code_index_range
-        "index %d out of range for register %s[%d]" index name size;
-    [ offset + index ]
-  | None ->
-    let _, offset, size = find_register regs (String.trim operand) in
-    List.init size (fun i -> offset + i)
+        "index %d out of range for register %s[%d]" index
+        (trimmed src a open_bracket) size;
+    (offset + index, 1)
+  end
 
-let split_operands text = String.split_on_char ',' text |> List.map String.trim
+(* Resolve each comma-separated operand of [a, b) in order. *)
+let rec iter_operands regs src a b f =
+  let comma = index src a b ',' in
+  let first, count = resolve regs src a (if comma < 0 then b else comma) in
+  for q = first to first + count - 1 do
+    f q
+  done;
+  if comma >= 0 then iter_operands regs src (comma + 1) b f
 
-(* Split a statement into "head" (gate name + optional params) and operand
-   text: the operands start after the first whitespace that is outside
-   parentheses. *)
-let split_head statement =
-  let len = String.length statement in
-  let depth = ref 0 in
-  let boundary = ref None in
-  (try
-     for i = 0 to len - 1 do
-       match statement.[i] with
-       | '(' -> incr depth
-       | ')' -> decr depth
-       | ' ' | '\t' | '\n' ->
-         if !depth = 0 then begin
-           boundary := Some i;
-           raise Exit
-         end
-       | _ -> ()
-     done
-   with Exit -> ());
-  match !boundary with
-  | None -> (statement, "")
-  | Some i ->
-    ( String.sub statement 0 i,
-      String.trim (String.sub statement (i + 1) (len - i - 1)) )
+(* The comma between exactly two operands in [a, b), or -1. *)
+let two_operands src a b =
+  let comma = index src a b ',' in
+  if comma >= 0 && index src (comma + 1) b ',' < 0 then comma else -1
 
-let parse_gate_name head =
-  match String.index_opt head '(' with
-  | None -> (String.trim head, None)
-  | Some open_paren ->
-    let close_paren =
-      match String.rindex_opt head ')' with
-      | Some i -> i
-      | None -> fail "missing ')' in %S" head
-    in
-    let name = String.trim (String.sub head 0 open_paren) in
-    let angle_text =
-      String.sub head (open_paren + 1) (close_paren - open_paren - 1)
-    in
-    (name, Some (eval_angle angle_text))
-
-let one_qubit_kind name angle =
-  match (name, angle) with
-  | "h", None -> Gate.H
-  | "x", None -> Gate.X
-  | "y", None -> Gate.Y
-  | "z", None -> Gate.Z
-  | "s", None -> Gate.S
-  | "sdg", None -> Gate.Sdg
-  | "t", None -> Gate.T
-  | "tdg", None -> Gate.Tdg
-  | "rx", Some a -> Gate.Rx a
-  | "ry", Some a -> Gate.Ry a
-  | "rz", Some a -> Gate.Rz a
-  | "u1", Some a -> Gate.U1 a
-  | ("rx" | "ry" | "rz" | "u1"), None -> fail "gate %s requires an angle" name
-  | _, Some _ -> fail "gate %s does not take an angle" name
-  | _, None -> fail "unsupported gate %s" name
-
-let parse_declaration regs ~quantum body =
-  match String.index_opt body '[' with
-  | None -> fail "malformed register declaration %S" body
-  | Some open_bracket ->
-    let close_bracket =
-      match String.index_opt body ']' with
-      | Some i -> i
-      | None -> fail "missing ']' in %S" body
-    in
-    let name = String.trim (String.sub body 0 open_bracket) in
-    let size =
-      try
-        int_of_string
-          (String.trim
-             (String.sub body (open_bracket + 1)
-                (close_bracket - open_bracket - 1)))
-      with Failure _ -> fail "bad register size in %S" body
-    in
-    if size <= 0 then fail "register %s must have positive size" name;
-    if quantum then begin
-      regs.qregs <- regs.qregs @ [ (name, regs.qtotal, size) ];
-      regs.qtotal <- regs.qtotal + size
-    end
-    else begin
-      regs.cregs <- regs.cregs @ [ (name, regs.ctotal, size) ];
-      regs.ctotal <- regs.ctotal + size
-    end
-
-(* Split "lhs -> rhs" on the first arrow. *)
-let split_on_arrow body =
-  let len = String.length body in
-  let rec find i =
-    if i + 1 >= len then None
-    else if body.[i] = '-' && body.[i + 1] = '>' then
-      Some
-        ( String.trim (String.sub body 0 i),
-          String.trim (String.sub body (i + 2) (len - i - 2)) )
-    else find (i + 1)
+let declare st ~quantum src a b =
+  let open_bracket = index src a b '[' in
+  if open_bracket < 0 then
+    fail "malformed register declaration %S" (sub src a b);
+  let close_bracket = index src a b ']' in
+  if close_bracket < 0 then fail "missing ']' in %S" (sub src a b);
+  let name = trimmed src a open_bracket in
+  if close_bracket < open_bracket then reversed_brackets ();
+  let size =
+    match int_of_span src (open_bracket + 1) close_bracket with
+    | size -> size
+    | exception Not_an_int -> fail "bad register size in %S" (sub src a b)
   in
-  find 0
+  if size <= 0 then fail "register %s must have positive size" name;
+  if quantum then begin
+    st.qregs <- st.qregs @ [ (name, st.qtotal, size) ];
+    st.qtotal <- st.qtotal + size
+  end
+  else begin
+    st.cregs <- st.cregs @ [ (name, st.ctotal, size) ];
+    st.ctotal <- st.ctotal + size
+  end
 
-let parse_measure regs body =
-  match split_on_arrow body with
-  | None -> fail "measure without '->' in %S" body
-  | Some (source, destination) ->
-    let qubits = resolve regs.qregs source in
-    let cbits = resolve regs.cregs destination in
-    if List.length qubits <> List.length cbits then
-      fail "measure arity mismatch in %S" body;
-    List.map2 (fun qubit cbit -> Gate.Measure { qubit; cbit }) qubits cbits
+let measure st src a b =
+  let rec arrow i =
+    if i + 1 >= b then fail "measure without '->' in %S" (sub src a b)
+    else if src.[i] = '-' && src.[i + 1] = '>' then i
+    else arrow (i + 1)
+  in
+  let arrow = arrow a in
+  let qubit, qubits = resolve st.qregs src a arrow in
+  let cbit, cbits = resolve st.cregs src (arrow + 2) b in
+  if qubits <> cbits then fail "measure arity mismatch in %S" (sub src a b);
+  for i = 0 to qubits - 1 do
+    emit st (Gate.Measure { qubit = qubit + i; cbit = cbit + i })
+  done
 
-let parse_statement regs statement =
-  let head, rest = split_head statement in
-  match head with
-  | "OPENQASM" -> []
-  | "include" -> []
-  | "qreg" ->
-    parse_declaration regs ~quantum:true rest;
-    []
-  | "creg" ->
-    parse_declaration regs ~quantum:false rest;
-    []
-  | "measure" -> parse_measure regs rest
-  | "barrier" ->
-    let operands = split_operands rest in
-    let qubits = List.concat_map (resolve regs.qregs) operands in
-    [ Gate.Barrier qubits ]
-  | "cx" | "CX" -> begin
-    let two_qubit control target =
+let rotation src a b =
+  if b - a <> 2 then None
+  else
+    match (src.[a], src.[a + 1]) with
+    | 'r', 'x' -> Some (fun angle -> Gate.Rx angle)
+    | 'r', 'y' -> Some (fun angle -> Gate.Ry angle)
+    | 'r', 'z' -> Some (fun angle -> Gate.Rz angle)
+    | 'u', '1' -> Some (fun angle -> Gate.U1 angle)
+    | _ -> None
+
+(* The gate named by the trimmed span, with its angle if it has one. *)
+let one_qubit_kind src a b angle =
+  let a = skip_space src a b in
+  let b = back_space src a b in
+  match (angle, rotation src a b) with
+  | Some angle, Some gate -> gate angle
+  | Some _, None -> fail "gate %s does not take an angle" (sub src a b)
+  | None, Some _ -> fail "gate %s requires an angle" (sub src a b)
+  | None, None ->
+    if equal_span src a b "h" then Gate.H
+    else if equal_span src a b "x" then Gate.X
+    else if equal_span src a b "y" then Gate.Y
+    else if equal_span src a b "z" then Gate.Z
+    else if equal_span src a b "s" then Gate.S
+    else if equal_span src a b "sdg" then Gate.Sdg
+    else if equal_span src a b "t" then Gate.T
+    else if equal_span src a b "tdg" then Gate.Tdg
+    else fail "unsupported gate %s" (sub src a b)
+
+(* The end of a statement's head: the first space, tab or newline
+   outside parentheses. *)
+let rec head_end src b i depth =
+  if i >= b then b
+  else
+    match src.[i] with
+    | '(' -> head_end src b (i + 1) (depth + 1)
+    | ')' -> head_end src b (i + 1) (depth - 1)
+    | ' ' | '\t' | '\n' when depth = 0 -> i
+    | _ -> head_end src b (i + 1) depth
+
+(* A trimmed, non-empty statement [a, b) of [src]: the head (gate name
+   and optional parameters), then the operands [ra, rb), trimmed. *)
+let statement st src a b =
+  let h = head_end src b a 0 in
+  let ra = if h = b then b else skip_space src (h + 1) b in
+  let rb = back_space src ra b in
+  if equal_span src a h "OPENQASM" || equal_span src a h "include" then ()
+  else if equal_span src a h "qreg" then declare st ~quantum:true src ra rb
+  else if equal_span src a h "creg" then declare st ~quantum:false src ra rb
+  else if equal_span src a h "measure" then measure st src ra rb
+  else if equal_span src a h "barrier" then begin
+    let qubits = ref [] in
+    iter_operands st.qregs src ra rb (fun q -> qubits := q :: !qubits);
+    emit st (Gate.Barrier (List.rev !qubits))
+  end
+  else if equal_span src a h "cx" || equal_span src a h "CX" then begin
+    let comma = two_operands src ra rb in
+    if comma < 0 then fail "cx expects two operands in %S" (sub src a b);
+    let control, controls = resolve st.qregs src ra comma in
+    let target, targets = resolve st.qregs src (comma + 1) rb in
+    if controls <> targets then fail "cx arity mismatch in %S" (sub src a b);
+    for i = 0 to controls - 1 do
+      let control = control + i and target = target + i in
       if control = target then
         fail_diag Diagnostic.code_identical_operands
-          "cx with identical operands q[%d] in %S" control statement;
-      Gate.Cnot { control; target }
+          "cx with identical operands q[%d] in %S" control (sub src a b);
+      emit st (Gate.Cnot { control; target })
+    done
+  end
+  else if equal_span src a h "swap" then begin
+    let comma = two_operands src ra rb in
+    if comma < 0 then fail "swap expects two operands in %S" (sub src a b);
+    let qa, na = resolve st.qregs src ra comma in
+    let qb, nb = resolve st.qregs src (comma + 1) rb in
+    if na <> 1 || nb <> 1 then
+      fail "swap expects single qubits in %S" (sub src a b);
+    if qa = qb then
+      fail_diag Diagnostic.code_identical_operands
+        "swap with identical operands q[%d] in %S" qa (sub src a b);
+    emit st (Gate.Swap (qa, qb))
+  end
+  else begin
+    let open_paren = index src a h '(' in
+    let kind =
+      if open_paren < 0 then one_qubit_kind src a h None
+      else begin
+        let close_paren = rindex src a h ')' in
+        if close_paren < 0 then fail "missing ')' in %S" (sub src a h);
+        if close_paren < open_paren then reversed_brackets ();
+        let angle = eval_angle src (open_paren + 1) close_paren in
+        one_qubit_kind src a open_paren (Some angle)
+      end
     in
-    match split_operands rest with
-    | [ a; b ] -> begin
-      match (resolve regs.qregs a, resolve regs.qregs b) with
-      | [ control ], [ target ] -> [ two_qubit control target ]
-      | controls, targets when List.length controls = List.length targets ->
-        List.map2 two_qubit controls targets
-      | _ -> fail "cx arity mismatch in %S" statement
-    end
-    | _ -> fail "cx expects two operands in %S" statement
+    iter_operands st.qregs src ra rb (fun q ->
+        emit st (Gate.One_qubit (kind, q)))
   end
-  | "swap" -> begin
-    match split_operands rest with
-    | [ a; b ] -> begin
-      match (resolve regs.qregs a, resolve regs.qregs b) with
-      | [ qa ], [ qb ] ->
-        if qa = qb then
-          fail_diag Diagnostic.code_identical_operands
-            "swap with identical operands q[%d] in %S" qa statement;
-        [ Gate.Swap (qa, qb) ]
-      | _ -> fail "swap expects single qubits in %S" statement
-    end
-    | _ -> fail "swap expects two operands in %S" statement
-  end
-  | _ ->
-    let name, angle = parse_gate_name head in
-    let kind = one_qubit_kind name angle in
-    let operands = split_operands rest in
-    let qubits = List.concat_map (resolve regs.qregs) operands in
-    List.map (fun q -> Gate.One_qubit (kind, q)) qubits
 
 let of_string_diag text =
-  let regs = { qregs = []; cregs = []; qtotal = 0; ctotal = 0 } in
-  let parse_at (line, statement) =
-    let located d =
-      if d.Diagnostic.location = Diagnostic.Nowhere then
-        { d with Diagnostic.location = Diagnostic.Line line }
-      else d
+  let len = String.length text in
+  let st =
+    { qregs = []; cregs = []; qtotal = 0; ctotal = 0; rev_gates = [] }
+  in
+  let line = ref 1 in
+  let line_end i =
+    match String.index_from_opt text i '\n' with Some k -> k | None -> len
+  in
+  (* A statement ends at the next ';' outside comments, and the first
+     [//] on a line starts a comment.  Its line is the line of its first
+     character that is not a space, tab, CR or LF.  A statement with a
+     comment inside is parsed from a copy with the comments cut out;
+     [copied] holds that copy up to [from]. *)
+  let rec next start =
+    let first_line = ref 0 and copied = ref None in
+    let from = ref start and i = ref start in
+    while !i < len && text.[!i] <> ';' do
+      let c = text.[!i] in
+      if c = '/' && !i + 1 < len && text.[!i + 1] = '/' then begin
+        let buffer =
+          match !copied with Some buffer -> buffer | None -> Buffer.create 64
+        in
+        Buffer.add_substring buffer text !from (!i - !from);
+        copied := Some buffer;
+        i := line_end !i;
+        from := !i
+      end
+      else begin
+        if c = '\n' then incr line
+        else if !first_line = 0 && c <> ' ' && c <> '\t' && c <> '\r' then
+          first_line := !line;
+        incr i
+      end
+    done;
+    let stop = !i in
+    let src, a, b =
+      match !copied with
+      | None -> (text, start, stop)
+      | Some buffer ->
+        Buffer.add_substring buffer text !from (stop - !from);
+        let src = Buffer.contents buffer in
+        (src, 0, String.length src)
     in
-    try parse_statement regs statement with
-    | Parse_error message ->
-      raise
-        (Diag_error
-           (Diagnostic.error ~location:(Diagnostic.Line line)
-              Diagnostic.code_parse message))
-    | Diag_error d -> raise (Diag_error (located d))
+    let a = skip_space src a b in
+    let b = back_space src a b in
+    if a < b then begin
+      let line = !first_line in
+      try statement st src a b with
+      | Parse_error message ->
+        raise
+          (Diag_error
+             (Diagnostic.error ~location:(Diagnostic.Line line)
+                Diagnostic.code_parse message))
+      | Diag_error d when d.Diagnostic.location = Diagnostic.Nowhere ->
+        raise
+          (Diag_error { d with Diagnostic.location = Diagnostic.Line line })
+    end;
+    if stop < len then next (stop + 1)
   in
   try
-    let gates = List.concat_map parse_at (statements text) in
-    Ok (Circuit.of_gates ~cbits:(max regs.ctotal 0) regs.qtotal gates)
+    next 0;
+    Ok
+      (Circuit.of_gates ~cbits:(max st.ctotal 0) st.qtotal
+         (List.rev st.rev_gates))
   with
   | Diag_error d -> Error d
   | Invalid_argument message ->

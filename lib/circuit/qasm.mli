@@ -11,6 +11,13 @@
 val to_string : Circuit.t -> string
 (** Emit a program with one register [q] and one classical register [c]. *)
 
+val fold_rendering :
+  ('a -> Bytes.t -> int -> int -> 'a) -> 'a -> Circuit.t -> 'a
+(** [fold_rendering f init c] streams [to_string c] through [f] without
+    building it: [f acc chunk off len] receives the next [len] bytes of
+    the rendering at [chunk.[off]], in order.  The chunk is reused, so
+    its bytes are valid only during the call. *)
+
 val of_string : string -> (Circuit.t, string) result
 (** Parse a program.  [Error message] points at the offending statement
     (rendered from {!of_string_diag}, line number included). *)

@@ -107,10 +107,11 @@ let run_session t fd =
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
     ~finally:(fun () ->
-      (* close_out flushes and closes the shared descriptor; close_in
-         then finds it already gone *)
-      (try close_out oc with Sys_error _ -> ());
-      (try close_in ic with Sys_error _ -> ());
+      (* [ic] and [oc] share one descriptor: it is closed exactly once,
+         through [oc], after flushing what still can be.  Closing [ic]
+         too would close the number a second time, and by then it may
+         belong to a connection accepted meanwhile. *)
+      close_out_noerr oc;
       Atomic.decr t.active;
       Metrics.set t.sessions_gauge (float_of_int (Atomic.get t.active));
       mark_done t (Domain.self ()))

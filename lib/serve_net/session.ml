@@ -18,27 +18,78 @@ type outcome =
    unbounded reader lets one client pin the session's memory with a
    single endless line.  Matches [input_line] at EOF — a final partial
    line (mid-line disconnect) is still delivered, and then fails JSON
-   parsing like any other garbage. *)
+   parsing like any other garbage.
+
+   Bytes come off the channel a block at a time (one channel-lock round
+   per block, not per byte) into [block.[next .. stop)]; a line that
+   straddles blocks gathers its earlier parts in a [Buffer].  [Too_long]
+   consumes exactly the line's first [max_line + 1] bytes, like a reader
+   that takes one byte at a time and gives up on the first byte past the
+   limit. *)
 type read =
   | Line of string
   | Too_long
   | End
 
-let input_bounded_line ic ~max_line =
-  let buffer = Buffer.create 256 in
-  let rec go () =
-    match input_char ic with
-    | '\n' -> Line (Buffer.contents buffer)
-    | c ->
-      if Buffer.length buffer >= max_line then Too_long
-      else begin
-        Buffer.add_char buffer c;
-        go ()
-      end
-    | exception End_of_file ->
-      if Buffer.length buffer = 0 then End else Line (Buffer.contents buffer)
+type reader = {
+  ic : in_channel;
+  max_line : int;
+  block : Bytes.t;
+  mutable next : int;
+  mutable stop : int;
+}
+
+let block_size = 16384
+
+let reader ic ~max_line =
+  { ic; max_line; block = Bytes.create block_size; next = 0; stop = 0 }
+
+let read_line r =
+  (* [pending]: the line's bytes from earlier blocks, [have] of them *)
+  let rec scan pending have =
+    let rec newline i =
+      if i = r.stop || Bytes.get r.block i = '\n' then i else newline (i + 1)
+    in
+    let eol = newline r.next in
+    let run = eol - r.next in
+    if have + run > r.max_line then begin
+      r.next <- r.next + (r.max_line + 1 - have);
+      Too_long
+    end
+    else if eol < r.stop then begin
+      let line =
+        match pending with
+        | None -> Bytes.sub_string r.block r.next run
+        | Some buffer ->
+          Buffer.add_subbytes buffer r.block r.next run;
+          Buffer.contents buffer
+      in
+      r.next <- eol + 1;
+      Line line
+    end
+    else begin
+      let pending =
+        if run = 0 then pending
+        else begin
+          let buffer =
+            match pending with
+            | Some buffer -> buffer
+            | None -> Buffer.create (2 * block_size)
+          in
+          Buffer.add_subbytes buffer r.block r.next run;
+          Some buffer
+        end
+      in
+      r.next <- 0;
+      r.stop <- input r.ic r.block 0 block_size;
+      if r.stop > 0 then scan pending (have + run)
+      else
+        match pending with
+        | None -> End
+        | Some buffer -> Line (Buffer.contents buffer)
+    end
   in
-  go ()
+  scan None 0
 
 (* Responses must leave in input order, but rejections and parse errors
    are known immediately while accepted requests wait for the flush.
@@ -79,8 +130,9 @@ let run ?(config = default_config) service ic oc =
          { op; epoch = Epoch.current (Service.epoch_manager service); migration });
     flush oc
   in
+  let lines = reader ic ~max_line:config.max_line in
   let rec loop () =
-    match input_bounded_line ic ~max_line:config.max_line with
+    match read_line lines with
     | End ->
       flush_slots ();
       Eof

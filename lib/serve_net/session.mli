@@ -38,6 +38,27 @@ type outcome =
       (** the peer vanished mid-session (broken pipe / reset); some
           responses may not have been delivered *)
 
+(** {1 Bounded line reader} *)
+
+type read =
+  | Line of string  (** the next line, without its ['\n'] *)
+  | Too_long
+      (** the line has more than [max_line] bytes; exactly
+          [max_line + 1] of them were consumed *)
+  | End  (** end of input, with no partial line pending *)
+
+type reader
+(** Line reader over a channel, with its own block buffer. *)
+
+val reader : in_channel -> max_line:int -> reader
+
+val read_line : reader -> read
+(** The next line.  A line of exactly [max_line] bytes is accepted,
+    one more byte is refused.  A final line without ['\n'] is
+    delivered as a [Line] at end of input.  Only blocks when no
+    complete line is buffered.
+    @raise Sys_error if the channel fails. *)
+
 val run : ?config:config -> Vqc_service.Service.t -> in_channel -> out_channel -> outcome
 (** Serve one session to completion.  Never raises on malformed input
     — parse errors become [Failed] responses and the loop continues;

@@ -1,19 +1,35 @@
 (* FNV-1a, 64-bit: digest = fold (xor byte, * prime) over the bytes.
    Computed in Int64 so the result is identical on 32- and 64-bit
-   targets (OCaml's native int is 63-bit). *)
+   targets (OCaml's native int is 63-bit); the accumulator of the byte
+   loop stays unboxed. *)
 
-let fnv_offset_basis = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+let basis = 0xcbf29ce484222325L
+let prime = 0x100000001b3L
 
-let of_string s =
-  let digest = ref fnv_offset_basis in
-  String.iter
-    (fun c ->
-      digest := Int64.logxor !digest (Int64.of_int (Char.code c));
-      digest := Int64.mul !digest fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !digest
+let feed_sub digest s off len =
+  let digest = ref digest in
+  for i = off to off + len - 1 do
+    let byte = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    digest := Int64.mul (Int64.logxor !digest byte) prime
+  done;
+  !digest
 
-let circuit c = of_string (Vqc_circuit.Qasm.to_string c)
+let feed digest s = feed_sub digest s 0 (String.length s)
+
+let hex digest =
+  String.init 16 (fun i ->
+      let nibble = Int64.shift_right_logical digest (60 - (4 * i)) in
+      "0123456789abcdef".[Int64.to_int (Int64.logand nibble 15L)])
+
+let of_string s = hex (feed basis s)
+
+(* The chunk is only read before [fold_rendering] reuses it. *)
+let circuit c =
+  hex
+    (Vqc_circuit.Qasm.fold_rendering
+       (fun digest chunk off len ->
+         feed_sub digest (Bytes.unsafe_to_string chunk) off len)
+       basis c)
+
 let calibration c = of_string (Vqc_device.Calibration.to_string c)
 let device d = of_string (Vqc_device.Device.to_string d)

@@ -33,9 +33,8 @@ let parse_exn text =
   in
   let skip_ws () =
     while
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> true
-      | _ -> false
+      !pos < len
+      && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
     do
       advance ()
     done
@@ -65,92 +64,133 @@ let parse_exn text =
     done;
     !value
   in
+  (* Advance over a run of bytes that stand for themselves (no quote,
+     backslash or control character); returns where the run started. *)
+  let plain_run () =
+    let start = !pos in
+    while
+      !pos < len
+      && match text.[!pos] with '"' | '\\' -> false | c -> Char.code c >= 0x20
+    do
+      advance ()
+    done;
+    start
+  in
+  let escape buffer =
+    match peek () with
+    | Some '"' ->
+      Buffer.add_char buffer '"';
+      advance ()
+    | Some '\\' ->
+      Buffer.add_char buffer '\\';
+      advance ()
+    | Some '/' ->
+      Buffer.add_char buffer '/';
+      advance ()
+    | Some 'n' ->
+      Buffer.add_char buffer '\n';
+      advance ()
+    | Some 'r' ->
+      Buffer.add_char buffer '\r';
+      advance ()
+    | Some 't' ->
+      Buffer.add_char buffer '\t';
+      advance ()
+    | Some 'b' ->
+      Buffer.add_char buffer '\b';
+      advance ()
+    | Some 'f' ->
+      Buffer.add_char buffer '\012';
+      advance ()
+    | Some 'u' ->
+      advance ();
+      let code = hex4 () in
+      if code >= 0xD800 && code <= 0xDBFF then begin
+        (* high surrogate: the low half must follow immediately *)
+        if not (!pos + 1 < len && text.[!pos] = '\\' && text.[!pos + 1] = 'u')
+        then fail "unpaired surrogate";
+        pos := !pos + 2;
+        let low = hex4 () in
+        if low < 0xDC00 || low > 0xDFFF then fail "unpaired surrogate";
+        utf8_add buffer (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00))
+      end
+      else if code >= 0xDC00 && code <= 0xDFFF then fail "unpaired surrogate"
+      else utf8_add buffer code
+    | _ -> fail "bad escape"
+  in
+  (* Runs are copied whole; a string without escapes is one [sub]. *)
   let parse_string () =
     expect '"';
-    let buffer = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' ->
-          Buffer.add_char buffer '"';
-          advance ()
-        | Some '\\' ->
-          Buffer.add_char buffer '\\';
-          advance ()
-        | Some '/' ->
-          Buffer.add_char buffer '/';
-          advance ()
-        | Some 'n' ->
-          Buffer.add_char buffer '\n';
-          advance ()
-        | Some 'r' ->
-          Buffer.add_char buffer '\r';
-          advance ()
-        | Some 't' ->
-          Buffer.add_char buffer '\t';
-          advance ()
-        | Some 'b' ->
-          Buffer.add_char buffer '\b';
-          advance ()
-        | Some 'f' ->
-          Buffer.add_char buffer '\012';
-          advance ()
-        | Some 'u' ->
+    let start = plain_run () in
+    if !pos < len && text.[!pos] = '"' then begin
+      advance ();
+      String.sub text start (!pos - 1 - start)
+    end
+    else begin
+      let buffer = Buffer.create (2 * (!pos - start) + 16) in
+      Buffer.add_substring buffer text start (!pos - start);
+      let rec loop () =
+        if !pos >= len then fail "unterminated string";
+        match text.[!pos] with
+        | '"' -> advance ()
+        | '\\' ->
           advance ();
-          let code = hex4 () in
-          if code >= 0xD800 && code <= 0xDBFF then begin
-            (* high surrogate: the low half must follow immediately *)
-            if not
-                 (!pos + 1 < len
-                 && text.[!pos] = '\\'
-                 && text.[!pos + 1] = 'u')
-            then fail "unpaired surrogate";
-            pos := !pos + 2;
-            let low = hex4 () in
-            if low < 0xDC00 || low > 0xDFFF then fail "unpaired surrogate";
-            utf8_add buffer
-              (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00))
-          end
-          else if code >= 0xDC00 && code <= 0xDFFF then
-            fail "unpaired surrogate"
-          else utf8_add buffer code
-        | _ -> fail "bad escape");
-        loop ()
-      | Some c when Char.code c < 0x20 -> fail "raw control char in string"
-      | Some c ->
-        Buffer.add_char buffer c;
-        advance ();
-        loop ()
-    in
-    loop ();
-    Buffer.contents buffer
+          escape buffer;
+          let start = plain_run () in
+          Buffer.add_substring buffer text start (!pos - start);
+          loop ()
+        | _ -> fail "raw control char in string"
+      in
+      loop ();
+      Buffer.contents buffer
+    end
   in
+  (* The lexeme is the run of number characters.  RFC 8259 asks for an
+     optional minus, 0 or digits without a leading zero, an optional
+     fraction of at least one digit, and an optional exponent (e or E,
+     optional sign, at least one digit); the value must be finite. *)
   let parse_number () =
     let start = !pos in
-    let number_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while match peek () with Some c -> number_char c | None -> false do
+    while
+      !pos < len
+      && match text.[!pos] with
+         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+         | _ -> false
+    do
       advance ()
     done;
     let s = String.sub text start (!pos - start) in
-    let integral =
-      String.for_all (function '.' | 'e' | 'E' -> false | _ -> true) s
+    let n = String.length s in
+    let bad () = fail ("bad number " ^ s) in
+    let rec digits i =
+      if i < n && s.[i] >= '0' && s.[i] <= '9' then digits (i + 1) else i
     in
-    if integral then
-      match int_of_string_opt s with
-      | Some i -> Json.Int i
-      | None -> fail ("bad number " ^ s)
+    let some_digits i =
+      let j = digits i in
+      if j = i then bad () else j
+    in
+    let sign = if n > 0 && s.[0] = '-' then 1 else 0 in
+    let int_end =
+      if sign < n && s.[sign] = '0' then sign + 1 else some_digits sign
+    in
+    let frac_end =
+      if int_end < n && s.[int_end] = '.' then some_digits (int_end + 1)
+      else int_end
+    in
+    let exp_end =
+      if frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then begin
+        let i = frac_end + 1 in
+        some_digits (if i < n && (s.[i] = '+' || s.[i] = '-') then i + 1 else i)
+      end
+      else frac_end
+    in
+    if exp_end <> n then bad ();
+    if int_end = n then
+      match int_of_string_opt s with Some i -> Json.Int i | None -> bad ()
     else
       match float_of_string_opt s with
-      | Some f -> Json.Float f
-      | None -> fail ("bad number " ^ s)
+      | Some f when Float.is_finite f -> Json.Float f
+      | Some _ | None -> bad ()
   in
   let rec parse_value () =
     skip_ws ();

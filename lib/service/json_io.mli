@@ -8,9 +8,11 @@
     {!Vqc_obs.Json.t} tree the emitter consumes, so a parsed value can
     be echoed back verbatim (request ids round-trip through responses).
 
-    Numbers without [.], [e] or [E] that fit in an OCaml [int] parse as
-    [Int]; everything else parses as [Float].  [\u] escapes decode to
-    UTF-8 (surrogate pairs included). *)
+    Numbers follow RFC 8259's grammar (no [+] sign, no leading zeros,
+    digits on both sides of a [.]) and must be finite, so [1e400] is an
+    error, not infinity.  Numbers without [.], [e] or [E] that fit in an
+    OCaml [int] parse as [Int]; everything else parses as [Float].  [\u]
+    escapes decode to UTF-8 (surrogate pairs included). *)
 
 val parse : string -> (Vqc_obs.Json.t, string) result
 (** Parse one complete JSON value.  [Error message] includes the byte

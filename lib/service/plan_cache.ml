@@ -64,25 +64,15 @@ type 'a t = {
    function of the fingerprints, so the segment a key lands in is
    deterministic across runs and processes (never Hashtbl.hash, whose
    contract does not promise stability). *)
-let fnv_offset_basis = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
 let segment_index t key =
   let n = Array.length t.segments in
   if n = 1 then 0
   else begin
-    let digest = ref fnv_offset_basis in
-    let feed s =
-      String.iter
-        (fun c ->
-          digest := Int64.logxor !digest (Int64.of_int (Char.code c));
-          digest := Int64.mul !digest fnv_prime)
-        s
+    let digest =
+      Fingerprint.(
+        feed (feed (feed basis key.circuit_fp) key.calibration_fp) key.policy)
     in
-    feed key.circuit_fp;
-    feed key.calibration_fp;
-    feed key.policy;
-    Int64.to_int (Int64.unsigned_rem !digest (Int64.of_int n))
+    Int64.to_int (Int64.unsigned_rem digest (Int64.of_int n))
   end
 
 let segment_of t key = t.segments.(segment_index t key)

@@ -333,6 +333,263 @@ let prop_qasm_roundtrip =
       | Ok parsed -> Circuit.equal c parsed
       | Error _ -> false)
 
+let test_qasm_comment_after_slash () =
+  (* the first // on a line starts the comment, even after a '/' *)
+  let program =
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+     rz(pi/2) q[0]; // note\nh q[1];\n"
+  in
+  match Qasm.of_string program with
+  | Ok c ->
+    check "rz then h" true
+      (Circuit.equal c
+         (Circuit.of_gates 2
+            [ Gate.One_qubit (Gate.Rz (Float.pi /. 2.0), 0); h 1 ]))
+  | Error m -> Alcotest.fail m
+
+let test_qasm_bad_angle_number () =
+  (* a number lexeme float_of_string rejects is a located parse error,
+     not an exception out of the parser *)
+  match Qasm.of_string_diag "qreg q[1];\nrz(2*1e) q[0];" with
+  | Error d ->
+    Alcotest.(check string) "code" Vqc_diag.Diagnostic.code_parse d.code;
+    check "line 2" true (d.location = Vqc_diag.Diagnostic.Line 2);
+    Alcotest.(check string) "message"
+      {|angle: bad number "1e" in "2*1e"|} d.message
+  | Ok _ -> Alcotest.fail "accepted a bad angle"
+
+(* A statement's line is the line of its first character that is not a
+   space, tab, CR or LF; a form feed counts. *)
+let test_qasm_error_lines () =
+  List.iter
+    (fun (text, line) ->
+      match Qasm.of_string_diag text with
+      | Error d ->
+        check (String.escaped text) true
+          (d.Vqc_diag.Diagnostic.location = Vqc_diag.Diagnostic.Line line)
+      | Ok _ -> Alcotest.failf "accepted %S" text)
+    [
+      ("qreg q[1];\r\nfrob q[0];", 2);
+      ("qreg q[1]; \r\r\n\t\n frob q[0];", 3);
+      ("qreg q[1];\012\nfrob q[0];", 1);
+      ("qreg q[1]; // c; d\n// e\nfrob q[0]", 3);
+      ("qreg q[1]; h // c\n  q[9];", 1);
+    ]
+
+(* ---- the rendering and the parser against their oracles ------------ *)
+
+let special_angles =
+  [
+    0.0; -0.0; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity;
+    4.9e-324; -4.9e-324; 2.2250738585072009e-308; 1e300; -1e300; 1e-300;
+    -1e-300; Float.max_float; Float.min_float;
+  ]
+  @ List.init 16 (fun k -> Float.pi /. (2.0 ** float_of_int k))
+
+let gen_circuit_of ~angle =
+  QCheck2.Gen.(
+    let* n = int_range 2 12 in
+    let* cbits = int_range 1 12 in
+    let qubit = int_bound (n - 1) in
+    let pair =
+      let* a = qubit in
+      let* d = int_range 1 (n - 1) in
+      return (a, (a + d) mod n)
+    in
+    let rotation =
+      oneofl
+        [
+          (fun a -> Gate.Rx a); (fun a -> Gate.Ry a); (fun a -> Gate.Rz a);
+          (fun a -> Gate.U1 a);
+        ]
+    in
+    let gate =
+      oneof
+        [
+          map2
+            (fun kind q -> Gate.One_qubit (kind, q))
+            (oneofl Gate.[ H; X; Y; Z; S; Sdg; T; Tdg ])
+            qubit;
+          map3 (fun r a q -> Gate.One_qubit (r a, q)) rotation angle qubit;
+          map (fun (control, target) -> Gate.Cnot { control; target }) pair;
+          map (fun (a, b) -> Gate.Swap (a, b)) pair;
+          map2
+            (fun q cbit -> Gate.Measure { qubit = q; cbit })
+            qubit (int_bound (cbits - 1));
+          return (Gate.Barrier []);
+          map (fun qs -> Gate.Barrier qs) (list_size (int_range 1 6) qubit);
+        ]
+    in
+    let* gates = list_size (int_bound 60) gate in
+    return (Circuit.of_gates ~cbits n gates))
+
+let prop_rendering_matches_printf =
+  QCheck2.Test.make ~name:"rendering and fingerprint match the Printf oracle"
+    ~count:300 ~print:Qasm_oracle.to_string
+    (gen_circuit_of
+       ~angle:
+         QCheck2.Gen.(
+           oneof [ oneofl special_angles; float; float_range (-7.0) 7.0 ]))
+    (fun c ->
+      let reference = Qasm_oracle.to_string c in
+      Qasm.to_string c = reference
+      && Vqc_service.Fingerprint.circuit c
+         = Vqc_service.Fingerprint.of_string reference)
+
+let handwritten_programs =
+  [
+    {|OPENQASM 2.0;
+include "qelib1.inc";
+// a comment; with a semicolon
+qreg q[3];
+qreg r[2];
+creg c[5];
+h q;
+cx q[0],r[1];
+CX q, q;
+rz(-pi/4 + 2*(1.5e-1)) q[2]; // trailing
+u1( PI / 8 ) r[0];
+measure q -> c;
+measure r[1] -> c[4];
+barrier q[0], r;
+swap r[0],q[1];
+|};
+    "qreg a[2]; qreg b[2]; creg c[4]; cx a[1],b[0]; cx a,b; barrier a,b; \
+     rx(.5e+1) b[1];";
+    "qreg q[2];
+	creg c[2];
+h q[0] ;
+measure q[0]->c[1];
+
+s q[1];";
+  ]
+
+let edit_tokens =
+  [
+    ";"; "//"; "// x;\n"; "\n"; " "; "\t"; "\r"; "\012"; "("; ")"; "[";
+    "]"; ","; "->"; "pi"; "e"; "-"; "+"; "*"; "/"; "."; "0"; "9"; "q";
+    "c"; "h"; "cx"; "swap"; "barrier"; "measure"; "qreg r[2];";
+    "creg d[1];"; "1e"; "/0";
+  ]
+
+(* Start offsets of [pattern] in [text]. *)
+let occurrences text pattern =
+  let n = String.length pattern in
+  let rec scan from acc =
+    if from + n > String.length text then List.rev acc
+    else if String.sub text from n = pattern then scan (from + 1) (from :: acc)
+    else scan (from + 1) acc
+  in
+  scan 0 []
+
+(* [text] with [length] bytes replaced from its [i]-th (mod the count)
+   occurrence of [pattern], [pattern] included. *)
+let splice text pattern i ~length replacement =
+  match occurrences text pattern with
+  | [] -> text
+  | found ->
+    let at = List.nth found (i mod List.length found) in
+    let stop = at + length (String.sub text at (String.length text - at)) in
+    String.sub text 0 at ^ replacement
+    ^ String.sub text stop (String.length text - stop)
+
+let digits_after_bracket rest =
+  let rec go j =
+    if j < String.length rest && rest.[j] >= '0' && rest.[j] <= '9' then
+      go (j + 1)
+    else j
+  in
+  go 1
+
+(* Edits stay few, and an index edit replaces the number after a '['
+   rather than growing it: a register of 10^6 qubits would make both
+   parsers expand each whole-register operand into that many gates.
+   Overflowing numbers are pinned by [test_qasm_edge_cases] instead. *)
+let gen_edit text =
+  QCheck2.Gen.(
+    let n = String.length text in
+    if n = 0 then oneofl edit_tokens
+    else
+      let* i = int_bound (n - 1) in
+      let* kind = int_bound 5 in
+      let before = String.sub text 0 i in
+      let after k = String.sub text k (n - k) in
+      match kind with
+      | 0 -> return (before ^ after (i + 1))
+      | 1 -> return (before ^ String.make 1 text.[i] ^ after i)
+      | 2 when i + 1 < n ->
+        return
+          (before ^ String.make 1 text.[i + 1] ^ String.make 1 text.[i]
+          ^ after (i + 2))
+      | 2 | 3 ->
+        map (fun token -> before ^ token ^ after i) (oneofl edit_tokens)
+      | 4 ->
+        map
+          (splice text "q[" i ~length:(fun _ -> 2))
+          (oneofl [ "r["; "c["; "qq["; "d[" ])
+      | _ ->
+        map
+          (fun index ->
+            splice text "[" i ~length:digits_after_bracket ("[" ^ index))
+          (oneofl [ "99"; "-1"; "1_"; "0x1"; " 1 "; "+"; "x"; "" ]))
+
+let gen_qasm_text =
+  QCheck2.Gen.(
+    let* base =
+      oneof
+        [
+          map Qasm_oracle.to_string
+            (gen_circuit_of
+               ~angle:(oneofl (List.filter Float.is_finite special_angles)));
+          oneofl handwritten_programs;
+        ]
+    in
+    let* edits = int_bound 3 in
+    let rec apply k text =
+      if k = 0 then return text else gen_edit text >>= apply (k - 1)
+    in
+    apply edits base)
+
+(* Both parsers give equal circuits or the same diagnostic. *)
+let parsers_agree text =
+  match (Qasm_oracle.of_string_diag text, Qasm.of_string_diag text) with
+  | Ok expected, Ok got -> Circuit.equal expected got
+  | Error expected, Error got -> expected = got
+  | Ok _, Error _ | Error _, Ok _ -> false
+  | exception Failure _ -> (
+    (* the oracle's float_of_string raises on a malformed number *)
+    match Qasm.of_string_diag text with
+    | Error
+        {
+          Vqc_diag.Diagnostic.location = Vqc_diag.Diagnostic.Line _;
+          message;
+          _;
+        } ->
+      String.starts_with ~prefix:"angle: bad number" message
+    | Error _ | Ok _ -> false)
+
+let test_qasm_edge_cases () =
+  List.iter
+    (fun text -> check (String.escaped text) true (parsers_agree text))
+    [
+      "qreg q[4611686018427387904];";
+      "qreg q[4611686018427387903]; creg c[0];";
+      "qreg q[2]; h q[4611686018427387904];";
+      "qreg q[2]; h q[99999999999999999999];";
+      "qreg q[2]; h q[0x1]; h q[1_]; h q[ 1 ]; h q[+1];";
+      "qreg q[2]; h q[-1];";
+      "qreg q]2[;";
+      "qreg q[2]; h q]0[;";
+      "qreg q[2]; rz)1( q[0];";
+      "qreg q[2]; h q[ ];";
+      "qreg [2]; h [1]; h ;";
+      "qreg q[1]; rz(1e) q[0];";
+    ]
+
+let prop_parser_matches_oracle =
+  QCheck2.Test.make ~name:"one-pass parser matches the oracle parser"
+    ~count:2000 ~print:(Printf.sprintf "%S") gen_qasm_text parsers_agree
+
 let prop_layers_cover_all_gates =
   QCheck2.Test.make ~name:"layer partition preserves the gate multiset"
     ~count:200 gen_circuit (fun c ->
@@ -398,6 +655,17 @@ let () =
             test_qasm_multiple_registers_flatten;
           Alcotest.test_case "angle arithmetic" `Quick test_qasm_angle_arithmetic;
           Alcotest.test_case "parse errors" `Quick test_qasm_errors;
+          Alcotest.test_case "comment after a slash" `Quick
+            test_qasm_comment_after_slash;
+          Alcotest.test_case "bad angle number" `Quick
+            test_qasm_bad_angle_number;
+          Alcotest.test_case "error lines" `Quick test_qasm_error_lines;
+          Alcotest.test_case "edge cases against the oracle" `Quick
+            test_qasm_edge_cases;
         ]
-        @ qcheck [ prop_qasm_roundtrip ] );
+        @ qcheck
+            [
+              prop_qasm_roundtrip; prop_rendering_matches_printf;
+              prop_parser_matches_oracle;
+            ] );
     ]

@@ -206,13 +206,13 @@ let test_cli_fanout_trace_and_bytes () =
       let sources =
         List.map
           (fun line ->
-            match Mini_json.parse line with
-            | exception Mini_json.Invalid reason ->
+            match Vqc_service.Json_io.parse line with
+            | Error reason ->
               Alcotest.fail
                 (Printf.sprintf "invalid JSONL line (%s): %s" reason line)
-            | json -> (
-              match Mini_json.member "source" json with
-              | Some (Mini_json.String source) -> source
+            | Ok json -> (
+              match Vqc_service.Json_io.member "source" json with
+              | Some (Vqc_obs.Json.String source) -> source
               | _ -> Alcotest.fail ("event without source: " ^ line)))
           lines
         |> List.sort_uniq compare

@@ -349,12 +349,15 @@ let test_fuzz_blast_radius () =
           check "invalid UTF-8 fails cleanly" true
             (contains (List.hd invalid) "\"status\":\"error\"");
           (* oversized line: accepted work is answered, then a typed
-             error, then the session closes *)
+             error, then the session closes.  The three lines go out in
+             one write: bytes still on their way when the server closes
+             would make the client's socket reset, and its half-close
+             fail, however correct the responses. *)
           let oversized =
             with_raw_client port (fun fd ->
-                send fd (req 1 "bv-3" ^ "\n");
-                send fd (String.make 300 'x' ^ "\n");
-                send fd (req 2 "bv-3" ^ "\n");
+                send fd
+                  (req 1 "bv-3" ^ "\n" ^ String.make 300 'x' ^ "\n"
+                 ^ req 2 "bv-3" ^ "\n");
                 read_all_lines fd)
           in
           (match oversized with
@@ -383,6 +386,133 @@ let test_fuzz_blast_radius () =
           check "well-behaved client unharmed by the chaos" true
             (deterministic clean.Load.lines = golden)))
 
+(* ---- the block line reader against the per-byte one ---------------- *)
+
+(* The session's reader as it was: one [input_char] per byte. *)
+let per_byte_line ic ~max_line =
+  let buffer = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Session.Line (Buffer.contents buffer)
+    | c ->
+      if Buffer.length buffer >= max_line then Session.Too_long
+      else begin
+        Buffer.add_char buffer c;
+        go ()
+      end
+    | exception End_of_file ->
+      if Buffer.length buffer = 0 then Session.End
+      else Session.Line (Buffer.contents buffer)
+  in
+  go ()
+
+(* Every read up to and including the first [End] of a reader opened
+   on a pipe that a concurrent writer fills with [pieces]. *)
+let reads_through_pipe ~pieces ~open_reader =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let writer =
+    Thread.create
+      (fun () ->
+        List.iter
+          (fun piece ->
+            let rec put off =
+              let rest = String.length piece - off in
+              if rest > 0 then put (off + Unix.write_substring w piece off rest)
+            in
+            put 0)
+          pieces;
+        Unix.close w)
+      ()
+  in
+  let ic = Unix.in_channel_of_descr r in
+  let read = open_reader ic in
+  (* every read but the last consumes at least one byte *)
+  let limit = 1 + String.length (String.concat "" pieces) in
+  let rec all count acc =
+    if count > limit then Alcotest.fail "reader stopped consuming input";
+    match read () with
+    | Session.End -> List.rev (Session.End :: acc)
+    | result -> all (count + 1) (result :: acc)
+  in
+  let results = all 0 [] in
+  Thread.join writer;
+  close_in ic;
+  results
+
+let rec split_pieces bytes sizes =
+  match sizes with
+  | _ when bytes = "" -> []
+  | [] -> [ bytes ]
+  | size :: rest ->
+    let size = min size (String.length bytes) in
+    String.sub bytes 0 size
+    :: split_pieces (String.sub bytes size (String.length bytes - size)) rest
+
+let gen_reader_case =
+  QCheck2.Gen.(
+    let* max_line =
+      oneof [ int_range 0 8; int_range 9 64; oneofl [ 16384; 20000 ] ]
+    in
+    let length =
+      oneof
+        [
+          oneofl [ 0; max 0 (max_line - 1); max_line; max_line + 1 ];
+          int_bound ((2 * max_line) + 2);
+          (if max_line >= 16384 then oneofl [ 16383; 16384; 16385 ]
+           else return 1);
+        ]
+    in
+    let line =
+      let* n = length in
+      let byte = map (fun c -> if c = '\n' then 'x' else c) char in
+      string_size ~gen:byte (return n)
+    in
+    let* lines = list_size (int_bound 6) line in
+    let* terminated = bool in
+    let bytes =
+      String.concat "\n" lines ^ if terminated && lines <> [] then "\n" else ""
+    in
+    let* sizes = list_size (int_bound 8) (int_range 1 20000) in
+    return (max_line, bytes, sizes))
+
+let test_reader_boundaries () =
+  let reads ~max_line bytes =
+    reads_through_pipe ~pieces:[ bytes ] ~open_reader:(fun ic ->
+        let reader = Session.reader ic ~max_line in
+        fun () -> Session.read_line reader)
+  in
+  check "empty input" true (reads ~max_line:4 "" = [ Session.End ]);
+  check "exactly max_line bytes, then one more" true
+    (reads ~max_line:4 "abcd\nabcde\n"
+    = [ Session.Line "abcd"; Session.Too_long; Session.Line ""; Session.End ]);
+  check "unterminated last line" true
+    (reads ~max_line:4 "ab\ncd"
+    = [ Session.Line "ab"; Session.Line "cd"; Session.End ]);
+  let long = String.make 16384 'x' in
+  check "newline on the block boundary" true
+    (reads ~max_line:20000 (long ^ "\n" ^ long)
+    = [ Session.Line long; Session.Line long; Session.End ])
+
+let prop_block_reader_matches_per_byte =
+  QCheck2.Test.make ~name:"block reader = per-byte reader" ~count:200
+    ~print:(fun (max_line, bytes, sizes) ->
+      Printf.sprintf "max_line %d, %d bytes %S, pieces %s" max_line
+        (String.length bytes) bytes
+        (String.concat "," (List.map string_of_int sizes)))
+    gen_reader_case
+    (fun (max_line, bytes, sizes) ->
+      let expected =
+        reads_through_pipe ~pieces:[ bytes ] ~open_reader:(fun ic () ->
+            per_byte_line ic ~max_line)
+      in
+      let got =
+        reads_through_pipe ~pieces:(split_pieces bytes sizes)
+          ~open_reader:(fun ic ->
+            let reader = Session.reader ic ~max_line in
+            fun () -> Session.read_line reader)
+      in
+      got = expected)
+
 let () =
   Alcotest.run "serve_net"
     [
@@ -404,5 +534,11 @@ let () =
         [
           Alcotest.test_case "garbage kills one session, not the server"
             `Slow test_fuzz_blast_radius;
+        ] );
+      ( "line reader",
+        [
+          Alcotest.test_case "limit boundary and unterminated last line"
+            `Quick test_reader_boundaries;
+          QCheck_alcotest.to_alcotest prop_block_reader_matches_per_byte;
         ] );
     ]

@@ -69,6 +69,108 @@ let test_json_roundtrips_emitter () =
   check "parse (emit x) = x" true
     (Result.get_ok (Json_io.parse (Json.to_string value)) = value)
 
+(* Message and byte position of each string error. *)
+let test_json_string_errors () =
+  List.iter
+    (fun (text, expected) ->
+      match Json_io.parse text with
+      | Error message -> check_string (String.escaped text) expected message
+      | Ok _ -> Alcotest.failf "accepted %S" text)
+    [
+      ({|"abc|}, "unterminated string at 4");
+      ({|"a\n|}, "unterminated string at 4");
+      ("\"a\001b\"", "raw control char in string at 2");
+      ("\"\\n\031\"", "raw control char in string at 3");
+      ({|"a\qb"|}, "bad escape at 3");
+      ({|"a\|}, "bad escape at 3");
+      ({|"\u12"|}, "truncated \\u escape at 3");
+      ({|"\u12g4"|}, "bad \\u escape at 5");
+      ({|"\ud800"|}, "unpaired surrogate at 7");
+      ({|"\ud800\u0041"|}, "unpaired surrogate at 13");
+      ({|"\udc00"|}, "unpaired surrogate at 7");
+    ]
+
+(* RFC 8259 numbers only, and finite ones. *)
+let test_json_number_grammar () =
+  List.iter
+    (fun (text, expected) ->
+      match Json_io.parse text with
+      | Error message -> check_string text expected message
+      | Ok _ -> Alcotest.failf "accepted %s" text)
+    [
+      ("+1", "bad number +1 at 2");
+      ("01", "bad number 01 at 2");
+      ("-01", "bad number -01 at 3");
+      ("00.5", "bad number 00.5 at 4");
+      (".5", "bad number .5 at 2");
+      ("-.5", "bad number -.5 at 3");
+      ("1.", "bad number 1. at 2");
+      ("1e", "bad number 1e at 2");
+      ("1e400", "bad number 1e400 at 5");
+      ("-1e400", "bad number -1e400 at 6");
+      ({|{"workload":"bv-3","epoch":+01}|}, "bad number +01 at 30");
+    ];
+  List.iter
+    (fun (text, expected) ->
+      check text true (Json_io.parse text = Ok expected))
+    [
+      ("0", Json.Int 0); ("-0", Json.Int 0); ("10", Json.Int 10);
+      ("0.5", Json.Float 0.5); ("-1.5e-3", Json.Float (-1.5e-3));
+      ("1E+2", Json.Float 100.0); ("2e0", Json.Float 2.0);
+    ]
+
+(* A code point spelled every way JSON allows: raw UTF-8 where legal,
+   the short escapes, and [\u] escapes (surrogate pairs above the BMP)
+   in either hex case. *)
+let gen_json_spelling =
+  QCheck2.Gen.(
+    let* cp =
+      oneof
+        [
+          int_range 0 0x7F; int_range 0x80 0x7FF; int_range 0x800 0xD7FF;
+          int_range 0xE000 0xFFFF; int_range 0x10000 0x10FFFF;
+          oneofl [ 0x22; 0x5C; 0x2F; 0x08; 0x0C; 0x0A; 0x0D; 0x09; 0x00; 0x1F ];
+        ]
+    in
+    let* how = int_bound 2 and* upper = bool in
+    let hex n = Printf.sprintf (if upper then "\\u%04X" else "\\u%04x") n in
+    let raw () =
+      let b = Buffer.create 4 in
+      Buffer.add_utf_8_uchar b (Uchar.of_int cp);
+      Buffer.contents b
+    in
+    let escaped =
+      if cp >= 0x10000 then
+        let v = cp - 0x10000 in
+        hex (0xD800 lor (v lsr 10)) ^ hex (0xDC00 lor (v land 0x3FF))
+      else hex cp
+    in
+    let short =
+      List.assoc_opt cp
+        [
+          (0x22, {|\"|}); (0x5C, {|\\|}); (0x2F, {|\/|}); (0x08, {|\b|});
+          (0x0C, {|\f|}); (0x0A, {|\n|}); (0x0D, {|\r|}); (0x09, {|\t|});
+        ]
+    in
+    let must_escape = cp < 0x20 || cp = 0x22 || cp = 0x5C in
+    let spelled =
+      match (how, short) with
+      | 0, Some s -> s
+      | 1, _ when not must_escape -> raw ()
+      | _ -> escaped
+    in
+    return (spelled, raw ()))
+
+let prop_json_string_roundtrip =
+  QCheck2.Test.make ~name:"every string spelling parses to its UTF-8"
+    ~count:500
+    ~print:(fun pairs -> String.concat "" (List.map fst pairs))
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_bound 40) gen_json_spelling)
+    (fun pairs ->
+      let text = "\"" ^ String.concat "" (List.map fst pairs) ^ "\"" in
+      let utf8 = String.concat "" (List.map snd pairs) in
+      Json_io.parse text = Ok (Json.String utf8))
+
 (* ---- Fingerprint --------------------------------------------------- *)
 
 let test_fingerprint_known_value () =
@@ -642,16 +744,21 @@ let test_service_failures_are_responses () =
       submit (request ~epoch:99 "bv-3");
       (* bv-16 cannot fit the 5-qubit device *)
       submit (request "bv-16");
-      submit
-        {
-          Protocol.id = None;
-          source = Protocol.Inline_qasm "OPENQASM 2.0; qreg q[broken";
-          policy = Policies.default_label;
-          epoch = None;
-          estimate = None;
-        };
+      let inline text =
+        submit
+          {
+            Protocol.id = None;
+            source = Protocol.Inline_qasm text;
+            policy = Policies.default_label;
+            epoch = None;
+            estimate = None;
+          }
+      in
+      inline "OPENQASM 2.0; qreg q[broken";
+      (* a malformed angle number once raised out of the parser *)
+      inline "qreg q[1]; rz(1e) q[0];";
       let responses = Service.flush service in
-      check_int "five failures" 5 (List.length responses);
+      check_int "six failures" 6 (List.length responses);
       List.iter
         (fun response ->
           check "structured failure" true
@@ -667,6 +774,9 @@ let () =
         [
           Alcotest.test_case "values" `Quick test_json_parse_values;
           Alcotest.test_case "errors" `Quick test_json_parse_errors;
+          Alcotest.test_case "string errors" `Quick test_json_string_errors;
+          Alcotest.test_case "number grammar" `Quick test_json_number_grammar;
+          QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
           Alcotest.test_case "emitter roundtrip" `Quick
             test_json_roundtrips_emitter;
         ] );
