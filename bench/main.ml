@@ -39,8 +39,8 @@
 
    The serve-load mode measures the TCP front end under concurrency:
      dune exec bench/main.exe -- serve-load [--clients 1,8,64] \
-       [--requests-per-client N] [--jobs N] [--shards N] \
-       [--out BENCH_serve.json] [--check-scaling]
+       [--requests-per-client N] [--jobs N] [--out BENCH_serve.json] \
+       [--check-scaling]
    For each client count it starts an in-process Vqc_serve_net server,
    replays pipelined NDJSON streams from that many concurrent clients,
    and records p50/p99 latency, requests/s and cache hit rates (all
@@ -1011,7 +1011,7 @@ let percentile sorted p =
   end
 
 (* Small circuits keep each compile cheap, so the bench exercises the
-   serving machinery (sockets, sessions, striped caches, the shared
+   serving machinery (sockets, sessions, the session caches, the shared
    store) rather than the mapper.  Clients start at different offsets
    of the same rotation: every workload is compiled somewhere early,
    then every other client's first touch is a shared-store hit and
@@ -1045,7 +1045,7 @@ type serve_round = {
   sr_failures : string list;
 }
 
-let run_serve_round ~jobs ~shards ~requests_per_client clients =
+let run_serve_round ~jobs ~requests_per_client clients =
   let epochs =
     Epoch.of_history ~name:"Q20" ~coupling:Topologies.ibm_q20_tokyo
       (History.generate ~days:2 ~seed:2 ~coupling:Topologies.ibm_q20_tokyo 20)
@@ -1057,12 +1057,7 @@ let run_serve_round ~jobs ~shards ~requests_per_client clients =
           Server.default_config with
           Server.clients_max = clients + 8;
           session = { Session.default_config with Session.batch = 1 };
-          service =
-            {
-              Service.default_config with
-              Service.jobs;
-              cache_shards = shards;
-            };
+          service = { Service.default_config with Service.jobs };
         }
       epochs
   in
@@ -1132,12 +1127,11 @@ let run_serve_bench args =
   let clients = ref [ 1; 8; 64 ] in
   let requests_per_client = ref 32 in
   let jobs = ref 4 in
-  let shards = ref 4 in
   let out = ref "BENCH_serve.json" in
   let check_scaling = ref false in
   let usage =
     "usage: bench serve-load [--clients N,N,...] [--requests-per-client N] \
-     [--jobs N] [--shards N] [--out FILE] [--check-scaling]"
+     [--jobs N] [--out FILE] [--check-scaling]"
   in
   let positive flag v =
     match int_of_string_opt v with
@@ -1179,13 +1173,6 @@ let run_serve_bench args =
         parse rest
       | Error e -> Error e
     end
-    | "--shards" :: v :: rest -> begin
-      match positive "--shards" v with
-      | Ok n ->
-        shards := n;
-        parse rest
-      | Error e -> Error e
-    end
     | "--out" :: v :: rest ->
       out := v;
       parse rest
@@ -1200,15 +1187,15 @@ let run_serve_bench args =
     2
   | Ok () ->
     Printf.printf
-      "Serve-load bench: %d requests/client over %s, jobs=%d shards=%d\n\n"
+      "Serve-load bench: %d requests/client over %s, jobs=%d\n\n"
       !requests_per_client
       (String.concat "+" (Array.to_list serve_load_workloads))
-      !jobs !shards;
+      !jobs;
     let rounds =
       List.map
         (fun count ->
           let round =
-            run_serve_round ~jobs:!jobs ~shards:!shards
+            run_serve_round ~jobs:!jobs
               ~requests_per_client:!requests_per_client count
           in
           Printf.printf
@@ -1232,7 +1219,6 @@ let run_serve_bench args =
         [
           ("bench", Json.String "serve-load");
           ("jobs", Json.Int !jobs);
-          ("shards", Json.Int !shards);
           ("requests_per_client", Json.Int !requests_per_client);
           ("rounds", Json.List (List.map serve_round_json rounds));
         ]

@@ -18,7 +18,7 @@
 module Diagnostic = Vqc_diag.Diagnostic
 module Lint = Vqc_check.Lint
 module Verify = Vqc_check.Verify
-module Selflint = Vqc_check.Selflint
+module Rules = Vqc_check.Rules
 module Calib_lint = Vqc_check.Calib_lint
 module Sarif = Vqc_check.Sarif
 module Baseline = Vqc_check.Baseline
@@ -302,7 +302,7 @@ let report ~json ~sarif ~baseline ~update ~clean diagnostics =
 (* ---- self ----------------------------------------------------------- *)
 
 let run_self json root sarif baseline update =
-  let diagnostics = Selflint.scan_tree ~root in
+  let diagnostics = Rules.scan_tree ~root in
   report ~json ~sarif ~baseline ~update ~clean:"self-lint: clean" diagnostics
 
 let self_cmd =

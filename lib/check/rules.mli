@@ -1,6 +1,11 @@
-(** Source-analysis rules over the {!Tokens} stream.
+(** Repository source hygiene: source-analysis rules over the {!Tokens}
+    stream, and the tree walker that runs them over every [.ml] file
+    under the source roots.  Pattern hits inside comments and string
+    literals do not flag — the scan is token-aware, not a substring
+    grep.  [.mli] files are not scanned (documentation may name the
+    calls).
 
-    Two rule families, both feeding {!Selflint.scan_tree}:
+    Two rule families, both feeding {!scan_tree}:
 
     {b Determinism & output hygiene.}  [VQC201] flags
     environment-seeded RNG anywhere and wall/CPU-clock reads
@@ -46,3 +51,9 @@ val scan_source : file:string -> string -> Vqc_diag.Diagnostic.t list
     [file] is the path reported in locations and matched against the
     allow-lists (rules scoped to library code fire only under
     [lib/]).  Sorted with {!Vqc_diag.Diagnostic.compare}. *)
+
+val scan_tree : root:string -> Vqc_diag.Diagnostic.t list
+(** Scan [lib/], [bin/], [examples/], [test/] and [bench/] under
+    [root] (directories that don't exist are skipped, [_build] and
+    dot-entries are ignored), in sorted path order; findings come back
+    sorted with {!Vqc_diag.Diagnostic.compare}. *)

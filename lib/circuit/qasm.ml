@@ -300,6 +300,7 @@ let eval_angle src first stop =
 (* --- registers and operands ----------------------------------------- *)
 
 type state = {
+  max_qubits : int;
   mutable qregs : (string * int * int) list;  (* name, offset, size *)
   mutable cregs : (string * int * int) list;
   mutable qtotal : int;
@@ -377,6 +378,10 @@ let declare st ~quantum src a b =
   in
   if size <= 0 then fail "register %s must have positive size" name;
   if quantum then begin
+    (* compared by difference so a size near [max_int] cannot overflow *)
+    if size > st.max_qubits - st.qtotal then
+      fail "register %s[%d] takes the circuit past %d qubits" name size
+        st.max_qubits;
     st.qregs <- st.qregs @ [ (name, st.qtotal, size) ];
     st.qtotal <- st.qtotal + size
   end
@@ -496,10 +501,17 @@ let statement st src a b =
         emit st (Gate.One_qubit (kind, q)))
   end
 
-let of_string_diag text =
+let of_string_diag ?(max_qubits = max_int) text =
   let len = String.length text in
   let st =
-    { qregs = []; cregs = []; qtotal = 0; ctotal = 0; rev_gates = [] }
+    {
+      max_qubits;
+      qregs = [];
+      cregs = [];
+      qtotal = 0;
+      ctotal = 0;
+      rev_gates = [];
+    }
   in
   let line = ref 1 in
   let line_end i =
@@ -566,8 +578,8 @@ let of_string_diag text =
   | Invalid_argument message ->
     Error (Diagnostic.error Diagnostic.code_parse message)
 
-let of_string text =
-  match of_string_diag text with
+let of_string ?max_qubits text =
+  match of_string_diag ?max_qubits text with
   | Ok c -> Ok c
   | Error d ->
     Error

@@ -18,18 +18,24 @@ val fold_rendering :
     the rendering at [chunk.[off]], in order.  The chunk is reused, so
     its bytes are valid only during the call. *)
 
-val of_string : string -> (Circuit.t, string) result
+val of_string : ?max_qubits:int -> string -> (Circuit.t, string) result
 (** Parse a program.  [Error message] points at the offending statement
     (rendered from {!of_string_diag}, line number included). *)
 
 val of_string_diag :
-  string -> (Circuit.t, Vqc_diag.Diagnostic.t) result
+  ?max_qubits:int -> string -> (Circuit.t, Vqc_diag.Diagnostic.t) result
 (** Parse with a structured error: out-of-range qubit/cbit indices carry
     {!Vqc_diag.Diagnostic.code_index_range}, two-qubit gates with
     identical operands carry
     {!Vqc_diag.Diagnostic.code_identical_operands}, everything else
     {!Vqc_diag.Diagnostic.code_parse}; the location is the statement's
-    1-based source line. *)
+    1-based source line.
+
+    [max_qubits] (default unbounded) caps the declared qubit total: the
+    [qreg] that takes it past the bound fails with
+    {!Vqc_diag.Diagnostic.code_parse}, naming the register and the
+    bound, before any gate is built — so a short program cannot expand
+    into an arbitrarily large circuit. *)
 
 val of_string_exn : string -> Circuit.t
 (** @raise Failure on parse errors. *)

@@ -14,10 +14,10 @@
 
     Determinism contract: the deterministic fields of the response
     stream are a pure function of the input stream and the service
-    configuration — independent of [--jobs], cache shard count, store
-    temperature, and whatever other sessions do concurrently (sessions
-    share only the worker pool and the content-addressed store, neither
-    of which can change a deterministic field). *)
+    configuration — independent of [--jobs], store temperature, and
+    whatever other sessions do concurrently (sessions share only the
+    worker pool and the content-addressed store, neither of which can
+    change a deterministic field). *)
 
 type config = {
   batch : int;  (** flush the admission queue every [batch] accepts *)

@@ -91,13 +91,15 @@ type 'a migrate = previous:int -> current:int -> 'a Plan_cache.t -> migration
    superseded epoch will recompile on its next request. *)
 let flush_superseded t cache epoch =
   let live = t.fingerprints.(epoch) in
-  let dropped =
-    Plan_cache.retain cache (fun key -> key.Plan_cache.calibration_fp = live)
+  let outcome =
+    Plan_cache.migrate cache ~decide:(fun key _ ->
+        if String.equal key.Plan_cache.calibration_fp live then Some key
+        else None)
   in
   {
     no_migration with
-    retained = Plan_cache.length cache;
-    invalidated = dropped;
+    retained = outcome.Plan_cache.kept;
+    invalidated = List.length outcome.Plan_cache.dropped;
   }
 
 let move ?migrate t cache epoch =

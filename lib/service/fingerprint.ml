@@ -14,14 +14,12 @@ let feed_sub digest s off len =
   done;
   !digest
 
-let feed digest s = feed_sub digest s 0 (String.length s)
-
 let hex digest =
   String.init 16 (fun i ->
       let nibble = Int64.shift_right_logical digest (60 - (4 * i)) in
       "0123456789abcdef".[Int64.to_int (Int64.logand nibble 15L)])
 
-let of_string s = hex (feed basis s)
+let of_string s = hex (feed_sub basis s 0 (String.length s))
 
 (* The chunk is only read before [fold_rendering] reuses it. *)
 let circuit c =

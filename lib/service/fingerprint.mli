@@ -17,13 +17,6 @@
 val of_string : string -> string
 (** FNV-1a 64 over the raw bytes, as 16 lowercase hex digits. *)
 
-val basis : int64
-(** The FNV-1a 64 offset basis: the digest of no bytes. *)
-
-val feed : int64 -> string -> int64
-(** [feed digest s] continues the FNV-1a 64 digest over the bytes of
-    [s]: [of_string (a ^ b)] renders [feed (feed basis a) b]. *)
-
 val circuit : Vqc_circuit.Circuit.t -> string
 (** Digest of the canonical OpenQASM rendering ({!Vqc_circuit.Qasm}),
     so structurally equal circuits fingerprint identically however they

@@ -22,7 +22,6 @@ type config = {
   jobs : int;
   cache_capacity : int;
   cache_enabled : bool;
-  cache_shards : int;
   queue_limit : int;
   verify : bool;
   drift : Retention.policy option;
@@ -33,7 +32,6 @@ let default_config =
     jobs = 1;
     cache_capacity = 256;
     cache_enabled = true;
-    cache_shards = 1;
     queue_limit = 64;
     verify = false;
     drift = None;
@@ -65,8 +63,8 @@ type cached = {
    and can be shared by sessions sitting at different epochs. *)
 type store = cached Plan_cache.t
 
-let shared_store ?shards ~capacity () =
-  Plan_cache.create ?shards ~metrics_prefix:"serve.store" ~capacity ()
+let shared_store ~capacity () =
+  Plan_cache.create ~metrics_prefix:"serve.store" ~capacity ()
 
 type t = {
   service_config : config;
@@ -79,6 +77,10 @@ type t = {
           written through on compile.  Store temperature is visible
           only under ["nd"]/metrics — deterministic response fields
           never depend on it. *)
+  max_qubits : int;
+      (** the widest device of the epoch rotation: inline QASM
+          declaring more qubits fails in the parser, before any gate
+          is built *)
   queue : Protocol.request Admission.t;
   pool : Pool.t;
   owns_pool : bool;
@@ -98,10 +100,12 @@ let create ?(config = default_config) ?pool ?store epoch =
   {
     service_config = config;
     epoch;
-    cache =
-      Plan_cache.create ~shards:config.cache_shards
-        ~capacity:config.cache_capacity ();
+    cache = Plan_cache.create ~capacity:config.cache_capacity ();
     store;
+    max_qubits =
+      List.fold_left max 0
+        (List.init (Epoch.epochs epoch) (fun e ->
+             Device.num_qubits (Epoch.device epoch e)));
     queue = Admission.create ~limit:config.queue_limit;
     pool;
     owns_pool;
@@ -283,7 +287,7 @@ let resolve t (request : Protocol.request) =
              (String.concat ", " (Catalog.names ())))
     end
     | Protocol.Inline_qasm text -> begin
-      match Qasm.of_string text with
+      match Qasm.of_string ~max_qubits:t.max_qubits text with
       | Ok circuit -> Ok circuit
       | Error message -> Error ("QASM parse error: " ^ message)
     end

@@ -7,7 +7,9 @@
     exception) and processed in admission order by {!flush}:
 
     + each request resolves to (circuit, device, policy) — catalog
-      lookup or inline-QASM parse, policy-label lookup, epoch pin;
+      lookup or inline-QASM parse, policy-label lookup, epoch pin; the
+      parse refuses a [qreg] that takes the declared qubits past the
+      widest device of the epoch rotation, before any gate is built;
     + the plan cache is consulted {e serially, in request order}, so
       hit/miss patterns are a pure function of the request stream;
     + distinct missing keys compile {e in parallel} on the pool
@@ -17,21 +19,18 @@
 
     Determinism contract: every response's deterministic fields are a
     pure function of (request stream, service configuration, epoch
-    rotation).  Worker count and cache temperature can change only the
-    ["nd"] section of a response — asserted by the test suite across
-    [jobs 1/4] and cache on/off. *)
+    rotation).  The deterministic fields of compile responses are
+    identical for any [jobs], with the cache on or off: worker count
+    and cache temperature change only their ["nd"] section.  An epoch
+    move's {!Epoch.migration} census describes the session cache, so it
+    depends on [cache_capacity] and is all zeros with the cache off.
+    Both are asserted by the test suite across [jobs 1/4] and cache
+    on/off. *)
 
 type config = {
   jobs : int;  (** worker domains for batch compilation (>= 1) *)
   cache_capacity : int;
   cache_enabled : bool;
-  cache_shards : int;
-      (** lock stripes of the plan cache (>= 1).  Sharding changes lock
-          contention only: with any shard count the cache serves the
-          same hits and evicts per-segment LRU, and a single-session
-          service is byte-identical for the same request stream.  The
-          default [1] is byte-identical to the historical single-mutex
-          cache. *)
   queue_limit : int;
   verify : bool;
       (** statically verify every plan ({!Vqc_check.Verify}) before it
@@ -49,8 +48,8 @@ type config = {
 }
 
 val default_config : config
-(** jobs 1, capacity 256, cache enabled, 1 shard, queue limit 64,
-    verify off, drift off. *)
+(** jobs 1, capacity 256, cache enabled, queue limit 64, verify off,
+    drift off. *)
 
 type t
 
@@ -65,9 +64,8 @@ type store
     in metrics ([serve.store.*]) and the ["nd"] response section:
     deterministic response fields never depend on it. *)
 
-val shared_store : ?shards:int -> capacity:int -> unit -> store
-(** [shards] defaults to [1]; see {!Plan_cache.create} for the
-    constraints. *)
+val shared_store : capacity:int -> unit -> store
+(** @raise Invalid_argument if [capacity < 1]. *)
 
 val create : ?config:config -> ?pool:Vqc_engine.Pool.t -> ?store:store -> Epoch.t -> t
 (** [?pool] shares an existing worker pool instead of spawning one —

@@ -376,6 +376,36 @@ let test_qasm_error_lines () =
       ("qreg q[1]; h // c\n  q[9];", 1);
     ]
 
+(* A qubit bound refuses the register that takes the declared total past
+   it, located at that register's line; the check compares by
+   difference, so a size near [max_int] cannot wrap around it. *)
+let test_qasm_max_qubits () =
+  let past size =
+    Printf.sprintf "register q[%d] takes the circuit past 20 qubits" size
+  in
+  List.iter
+    (fun (text, expected) ->
+      let name = String.escaped text in
+      match (Qasm.of_string_diag ~max_qubits:20 text, expected) with
+      | Ok c, Ok qubits -> check_int name qubits (Circuit.num_qubits c)
+      | Error d, Error (line, message) ->
+        Alcotest.(check string) name Vqc_diag.Diagnostic.code_parse d.code;
+        check name true (d.location = Vqc_diag.Diagnostic.Line line);
+        Alcotest.(check string) name message d.message
+      | Ok _, Error _ -> Alcotest.failf "accepted %S" text
+      | Error d, Ok _ -> Alcotest.failf "refused %S: %s" text d.message)
+    [
+      ("qreg q[20];\nh q;", Ok 20);
+      ("qreg a[12];\nqreg b[8];\nh a;", Ok 20);
+      ("qreg q[21];\nh q;", Error (1, past 21));
+      ( "qreg a[12];\nqreg b[9];\nh a;",
+        Error (2, "register b[9] takes the circuit past 20 qubits") );
+      ("qreg q[4611686018427387903];", Error (1, past max_int));
+      ("qreg a[1];\nqreg q[4611686018427387903];", Error (2, past max_int));
+    ];
+  check "unbounded by default" true
+    (Result.is_ok (Qasm.of_string "qreg q[21];\nh q;"))
+
 (* ---- the rendering and the parser against their oracles ------------ *)
 
 let special_angles =
@@ -660,6 +690,7 @@ let () =
           Alcotest.test_case "bad angle number" `Quick
             test_qasm_bad_angle_number;
           Alcotest.test_case "error lines" `Quick test_qasm_error_lines;
+          Alcotest.test_case "qubit bound" `Quick test_qasm_max_qubits;
           Alcotest.test_case "edge cases against the oracle" `Quick
             test_qasm_edge_cases;
         ]

@@ -2,8 +2,8 @@
 
    Everything here holds one promise: a client's deterministic response
    bytes are a pure function of its own request stream.  Not of the
-   shard count, not of the worker count, not of what other clients do
-   concurrently, not of the shared compile store's temperature.  The
+   worker count, not of what other clients do concurrently, not of the
+   shared compile store's temperature.  The
    reference for every stream is the stdin session loop (the same
    Session code the TCP server runs), so single-client TCP equivalence
    is golden-enforced, and every concurrent client is held to its own
@@ -34,7 +34,7 @@ let contains haystack needle =
   ln > 0 && at 0
 
 (* Small workloads on the 5-qubit device keep each compile cheap: the
-   wall exercises sessions, sharding and interleavings, not the mapper. *)
+   wall exercises sessions and interleavings, not the mapper. *)
 let epochs () =
   Epoch.of_history ~name:"Q5" ~coupling:Topologies.ibm_q5_tenerife
     (History.generate ~days:3 ~seed:5 ~coupling:Topologies.ibm_q5_tenerife 5)
@@ -132,11 +132,10 @@ let stdin_run ?(session = Session.default_config) ~config lines =
 
 (* ---- server scaffolding --------------------------------------------- *)
 
-let base_config ~jobs ~shards =
+let base_config ~jobs =
   {
     Service.default_config with
     Service.jobs;
-    cache_shards = shards;
     cache_capacity = 8;
     (* non-wholesale drift: epoch moves run the selective retention
        pipeline, whose kept/dropped census lands in deterministic
@@ -145,7 +144,7 @@ let base_config ~jobs ~shards =
   }
 
 let with_server ?(clients_max = 16) ?(session = Session.default_config)
-    ~jobs ~shards f =
+    ~jobs f =
   let server =
     Server.start
       ~config:
@@ -153,7 +152,7 @@ let with_server ?(clients_max = 16) ?(session = Session.default_config)
           Server.default_config with
           Server.clients_max;
           session;
-          service = base_config ~jobs ~shards;
+          service = base_config ~jobs;
           store_capacity = 64;
         }
       (epochs ())
@@ -188,8 +187,8 @@ let read_all_lines fd =
 
 let test_tcp_matches_stdin () =
   let lines = stream 0 in
-  let _, golden = stdin_run ~config:(base_config ~jobs:1 ~shards:1) lines in
-  with_server ~jobs:1 ~shards:1 (fun port ->
+  let _, golden = stdin_run ~config:(base_config ~jobs:1) lines in
+  with_server ~jobs:1 (fun port ->
       let result = Load.client ~port ~requests:lines () in
       check_int "one response per request" (List.length lines)
         (List.length result.Load.lines);
@@ -204,20 +203,18 @@ let test_tcp_matches_stdin () =
 (* ---- multi-client determinism wall ---------------------------------- *)
 
 (* Every concurrent client's stream must replay to the bytes of its own
-   single-client reference, for every combination of shard count,
-   worker count and client count.  The goldens are computed once at
-   (jobs 1, shards 1): equality across the matrix IS the shards/jobs
-   invariance claim. *)
+   single-client reference, for every combination of worker count and
+   client count.  The goldens are computed once at jobs 1: equality
+   across the matrix IS the jobs invariance claim. *)
 let test_multi_client_determinism () =
   let goldens =
     Array.init 8 (fun index ->
         deterministic
-          (snd (stdin_run ~config:(base_config ~jobs:1 ~shards:1)
-                  (stream index))))
+          (snd (stdin_run ~config:(base_config ~jobs:1) (stream index))))
   in
   List.iter
-    (fun (shards, jobs, clients) ->
-      with_server ~jobs ~shards (fun port ->
+    (fun (jobs, clients) ->
+      with_server ~jobs (fun port ->
           let results =
             Load.run ~port ~clients ~requests:(fun index -> stream index) ()
           in
@@ -225,24 +222,17 @@ let test_multi_client_determinism () =
             (fun index result ->
               match result with
               | Error e ->
-                Alcotest.failf "shards=%d jobs=%d clients=%d client %d: %s"
-                  shards jobs clients index e
+                Alcotest.failf "jobs=%d clients=%d client %d: %s" jobs
+                  clients index e
               | Ok { Load.lines; _ } ->
                 check
                   (Printf.sprintf
-                     "shards=%d jobs=%d clients=%d client %d matches its \
-                      solo golden"
-                     shards jobs clients index)
+                     "jobs=%d clients=%d client %d matches its solo golden"
+                     jobs clients index)
                   true
                   (deterministic lines = goldens.(index)))
             results))
-    [
-      (1, 1, 2);
-      (1, 4, 8);
-      (4, 1, 8);
-      (4, 4, 2);
-      (4, 4, 8);
-    ]
+    [ (1, 2); (1, 8); (4, 2); (4, 8) ]
 
 (* ---- backpressure renders identically on both front ends ------------ *)
 
@@ -251,7 +241,7 @@ let test_queue_full_same_bytes () =
      full queue and must be rejected with the VQC130 code — identically
      on stdin and TCP *)
   let config =
-    { (base_config ~jobs:1 ~shards:1) with Service.queue_limit = 2 }
+    { (base_config ~jobs:1) with Service.queue_limit = 2 }
   in
   let session = { Session.default_config with Session.batch = 100 } in
   let lines = List.init 5 (fun i -> req (i + 1) "bv-3") in
@@ -288,7 +278,7 @@ let test_queue_full_same_bytes () =
 (* ---- connection-level load shedding --------------------------------- *)
 
 let test_server_full_rejection () =
-  with_server ~clients_max:1 ~jobs:1 ~shards:1 (fun port ->
+  with_server ~clients_max:1 ~jobs:1 (fun port ->
       with_raw_client port (fun occupant ->
           (* prove the occupant's session is live before crowding it *)
           send occupant (req 1 "bv-3" ^ "\n");
@@ -315,10 +305,9 @@ let test_fuzz_blast_radius () =
   let session = { Session.batch = 2; max_line = 128 } in
   let golden =
     deterministic
-      (snd (stdin_run ~session ~config:(base_config ~jobs:1 ~shards:1)
-              (stream 0)))
+      (snd (stdin_run ~session ~config:(base_config ~jobs:1) (stream 0)))
   in
-  with_server ~session ~jobs:2 ~shards:4 (fun port ->
+  with_server ~session ~jobs:2 (fun port ->
       (* a stuck client mid-line, held open across everything below: its
          unfinished garbage must not delay or corrupt anyone *)
       with_raw_client port (fun stuck ->

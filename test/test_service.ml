@@ -220,10 +220,11 @@ let test_cache_lru_eviction () =
 let test_cache_retain () =
   let cache = Plan_cache.create ~capacity:8 () in
   List.iter (fun n -> Plan_cache.insert cache (key n) n) [ 1; 2; 3; 4 ];
-  let dropped =
-    Plan_cache.retain cache (fun k -> k.Plan_cache.circuit_fp = "c2")
+  let outcome =
+    Plan_cache.migrate cache ~decide:(fun k _ ->
+        if k.Plan_cache.circuit_fp = "c2" then Some k else None)
   in
-  check_int "three dropped" 3 dropped;
+  check_int "three dropped" 3 (List.length outcome.Plan_cache.dropped);
   check_int "one left" 1 (Plan_cache.length cache);
   check "survivor" true (Plan_cache.find cache (key 2) = Some 2)
 
@@ -241,21 +242,16 @@ let test_cache_counters () =
   check_int "one eviction counted" (evictions0 + 1)
     (counter "service.cache.evictions")
 
-(* ---- Plan_cache sharding equivalence (qcheck) ----------------------- *)
+(* ---- Plan_cache against a reference LRU model (qcheck) ------------- *)
 
-(* Random op streams over a small key space, replayed against a
-   single-segment reference cache and a sharded one.  With capacity at
-   least the key space (no evictions), sharding must be invisible:
-   identical find results, identical final contents, identical
-   migration censuses, identical hit/miss counter movements (every
-   segment feeds the same counters, so the sums across shards match
-   the single-segment reference by observation, not by construction).
-   Eviction is per-segment LRU, so under eviction pressure the wall
-   asserts the bounded-size invariant and exact run-to-run
-   reproducibility instead of pointwise equality. *)
+(* Random op streams over 16 keys at capacities 1-20, so eviction is
+   exercised, replayed against the cache and against a most-recent-first
+   list written here.  After every op the two must agree on the find
+   result, the entries in order, a migration's kept count and dropped
+   list, and the movement of every counter. *)
 
 type cache_op =
-  | C_insert of int
+  | C_insert of int * int  (** key, value *)
   | C_find of int
   | C_migrate of int
 
@@ -264,94 +260,129 @@ let gen_cache_ops =
     list_size (int_range 1 60)
       (oneof
          [
-           map (fun n -> C_insert n) (int_bound 15);
+           map2 (fun n v -> C_insert (n, v)) (int_bound 15) (int_bound 15);
            map (fun n -> C_find n) (int_bound 15);
            map (fun seed -> C_migrate seed) (int_bound 7);
          ]))
 
 (* Deterministic, content-based migration decision: drop every fifth
-   value, re-key even values to a seed-named calibration (cross-segment
-   moves included — the new fingerprint hashes wherever it hashes),
-   keep odd values in place. *)
+   value, re-key even values to a seed-named calibration (onto an
+   occupied key when an earlier migration with the same seed already
+   put a plan there), keep odd values in place. *)
 let migrate_decide seed k v =
   if v mod 5 = 4 then None
   else if v mod 2 = 0 then
     Some { k with Plan_cache.calibration_fp = Printf.sprintf "cal-m%d" seed }
   else Some k
 
-(* Replay ops, rendering each observable outcome: traces from two
-   behaviourally equal caches are equal as string lists.  Migration
-   drops are rendered sorted — segment walk order is the one legitimate
-   representation difference between shard counts. *)
-let apply_cache_ops cache ops =
-  List.map
-    (fun op ->
-      match op with
-      | C_insert n ->
-        Plan_cache.insert cache (key n) n;
-        Printf.sprintf "insert %d" n
-      | C_find n -> begin
-        match Plan_cache.find cache (key n) with
-        | Some v -> Printf.sprintf "find %d -> %d" n v
-        | None -> Printf.sprintf "find %d -> miss" n
-      end
-      | C_migrate seed ->
-        let m = Plan_cache.migrate cache ~decide:(migrate_decide seed) in
-        Printf.sprintf "migrate %d -> kept %d dropped [%s]" seed
-          m.Plan_cache.kept
-          (String.concat ";"
-             (List.sort compare
-                (List.map
-                   (fun (k, v) ->
-                     Printf.sprintf "%s=%d" (Plan_cache.key_to_string k) v)
-                   m.Plan_cache.dropped))))
-    ops
+type model = {
+  capacity : int;
+  mutable lru : (Plan_cache.key * int) list;  (** most recent first *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable invalidated : int;
+  mutable retained : int;
+}
 
-let sorted_entries cache =
-  List.sort compare (Plan_cache.entries cache)
+let without k lru = List.filter (fun (k', _) -> k' <> k) lru
 
-let prop_sharding_invisible =
-  QCheck2.Test.make ~name:"sharded cache = single segment (no evictions)"
-    ~count:100
-    QCheck2.Gen.(pair gen_cache_ops (int_range 2 5))
-    (fun (ops, shards) ->
-      let reference =
-        Plan_cache.create ~metrics_prefix:"test.shardeq.ref" ~capacity:32 ()
-      in
-      let sharded =
-        Plan_cache.create ~shards ~metrics_prefix:"test.shardeq.shd"
-          ~capacity:32 ()
-      in
-      let ref_hits0 = counter "test.shardeq.ref.hits" in
-      let ref_misses0 = counter "test.shardeq.ref.misses" in
-      let shd_hits0 = counter "test.shardeq.shd.hits" in
-      let shd_misses0 = counter "test.shardeq.shd.misses" in
-      let ref_trace = apply_cache_ops reference ops in
-      let shd_trace = apply_cache_ops sharded ops in
-      ref_trace = shd_trace
-      && sorted_entries reference = sorted_entries sharded
-      && counter "test.shardeq.ref.hits" - ref_hits0
-         = counter "test.shardeq.shd.hits" - shd_hits0
-      && counter "test.shardeq.ref.misses" - ref_misses0
-         = counter "test.shardeq.shd.misses" - shd_misses0)
+let model_insert m k v =
+  let lru =
+    if List.mem_assoc k m.lru then without k m.lru
+    else if List.length m.lru < m.capacity then m.lru
+    else begin
+      m.evictions <- m.evictions + 1;
+      List.filteri (fun i _ -> i < m.capacity - 1) m.lru
+    end
+  in
+  m.lru <- (k, v) :: lru
 
-let prop_sharded_eviction_reproducible =
-  QCheck2.Test.make
-    ~name:"sharded eviction stays bounded and replays identically" ~count:100
-    gen_cache_ops
-    (fun ops ->
-      let run () =
-        let cache =
-          Plan_cache.create ~shards:3 ~metrics_prefix:"test.shardevict"
-            ~capacity:6 ()
-        in
-        let trace = apply_cache_ops cache ops in
-        (trace, Plan_cache.entries cache, Plan_cache.length cache)
+let model_find m k =
+  match List.assoc_opt k m.lru with
+  | Some v ->
+    m.hits <- m.hits + 1;
+    m.lru <- (k, v) :: without k m.lru;
+    Some v
+  | None ->
+    m.misses <- m.misses + 1;
+    None
+
+(* Entries are decided in LRU order; a re-key keeps its slot, and one
+   onto a key some slot holds at that moment drops the stale copy. *)
+let model_migrate m decide =
+  let slots = Array.of_list (List.map Option.some m.lru) in
+  let kept = ref 0 and dropped = ref [] in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | None -> ()
+      | Some (k, v) -> (
+        match decide k v with
+        | Some k' when k' = k -> incr kept
+        | Some k' ->
+          incr kept;
+          let occupied =
+            Array.exists
+              (function Some (k'', _) -> k'' = k' | None -> false)
+              slots
+          in
+          slots.(i) <- (if occupied then None else Some (k', v))
+        | None ->
+          slots.(i) <- None;
+          dropped := (k, v) :: !dropped))
+    slots;
+  m.lru <- List.filter_map Fun.id (Array.to_list slots);
+  m.invalidated <- m.invalidated + List.length !dropped;
+  m.retained <- m.retained + !kept;
+  (!kept, List.rev !dropped)
+
+let model_counters m =
+  [ m.hits; m.misses; m.evictions; m.invalidated; m.retained ]
+
+let prop_cache_matches_model =
+  QCheck2.Test.make ~name:"cache = reference LRU model" ~count:300
+    QCheck2.Gen.(pair gen_cache_ops (int_range 1 20))
+    (fun (ops, capacity) ->
+      let prefix = "test.model" in
+      let cache = Plan_cache.create ~metrics_prefix:prefix ~capacity () in
+      let counters () =
+        List.map
+          (fun name -> counter (prefix ^ "." ^ name))
+          [ "hits"; "misses"; "evictions"; "invalidated"; "retained" ]
       in
-      let trace1, entries1, length1 = run () in
-      let trace2, entries2, length2 = run () in
-      length1 <= 6 && length1 = length2 && trace1 = trace2
-      && entries1 = entries2)
+      let base = counters () in
+      let m =
+        {
+          capacity;
+          lru = [];
+          hits = 0;
+          misses = 0;
+          evictions = 0;
+          invalidated = 0;
+          retained = 0;
+        }
+      in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | C_insert (n, v) ->
+              Plan_cache.insert cache (key n) v;
+              model_insert m (key n) v;
+              true
+            | C_find n -> Plan_cache.find cache (key n) = model_find m (key n)
+            | C_migrate seed ->
+              let outcome =
+                Plan_cache.migrate cache ~decide:(migrate_decide seed)
+              in
+              (outcome.Plan_cache.kept, outcome.Plan_cache.dropped)
+              = model_migrate m (migrate_decide seed)
+          in
+          agree
+          && Plan_cache.entries cache = m.lru
+          && List.map2 ( - ) (counters ()) base = model_counters m)
+        ops)
 
 (* ---- Admission ----------------------------------------------------- *)
 
@@ -466,29 +497,41 @@ let deterministic_lines responses =
         | other -> other))
     responses
 
+(* Compile lines are identical across jobs and cache on/off; the census
+   of the epoch move that follows describes the session cache, so it is
+   equal across jobs and all zeros with the cache off. *)
 let test_service_deterministic_across_jobs_and_cache () =
   let runs =
     List.map
       (fun config ->
         Service.with_service ~config (q5_epochs ()) (fun service ->
-            deterministic_lines (run_batch service)))
+            let lines = deterministic_lines (run_batch service) in
+            let _, census = Service.advance_epoch service in
+            (config.Service.cache_enabled, lines, census)))
       [
         { Service.default_config with Service.jobs = 1 };
         { Service.default_config with Service.jobs = 4 };
         { Service.default_config with Service.jobs = 1; cache_enabled = false };
         { Service.default_config with Service.jobs = 4; cache_enabled = false };
-        { Service.default_config with Service.jobs = 1; cache_shards = 4 };
-        { Service.default_config with Service.jobs = 4; cache_shards = 8 };
       ]
   in
   match runs with
-  | reference :: others ->
+  | (_, reference, cached_census) :: others ->
     check_int "five responses" (List.length batch) (List.length reference);
+    check_int "the four distinct plans are invalidated" 4
+      cached_census.Epoch.invalidated;
     List.iteri
-      (fun i lines ->
+      (fun i (cache_enabled, lines, census) ->
         List.iter2
           (check_string (Printf.sprintf "run %d matches jobs-1 cached" (i + 1)))
-          reference lines)
+          reference lines;
+        if cache_enabled then
+          check (Printf.sprintf "run %d census matches jobs-1" (i + 1)) true
+            (census = cached_census)
+        else
+          check (Printf.sprintf "run %d census is zero without a cache" (i + 1))
+            true
+            (census = Epoch.no_migration))
       others
   | [] -> assert false
 
@@ -524,7 +567,7 @@ let test_service_shared_store_warms_across_sessions () =
     Service.with_service (q5_epochs ()) (fun service ->
         deterministic_lines (run_batch service))
   in
-  let store = Service.shared_store ~shards:2 ~capacity:64 () in
+  let store = Service.shared_store ~capacity:64 () in
   let run_with_store () =
     let service = Service.create ~store (q5_epochs ()) in
     Fun.protect
@@ -765,6 +808,35 @@ let test_service_failures_are_responses () =
             (match response with Protocol.Failed _ -> true | _ -> false))
         responses)
 
+(* A short inline program declaring a huge register is refused by the
+   parser before [h q] expands gate by gate: one failure, and almost no
+   allocation where the expansion would allocate ~10^7 words. *)
+let test_service_huge_register_is_refused_cheaply () =
+  Service.with_service (q5_epochs ()) (fun service ->
+      let request =
+        {
+          Protocol.id = None;
+          source =
+            Protocol.Inline_qasm "OPENQASM 2.0;\nqreg q[1000000];\nh q;\n";
+          policy = Policies.default_label;
+          epoch = None;
+          estimate = None;
+        }
+      in
+      let words0 = Gc.minor_words () in
+      let submitted = Service.submit service request in
+      let responses = Service.flush service in
+      let words = Gc.minor_words () -. words0 in
+      check "admitted" true (Result.is_ok submitted);
+      check (Printf.sprintf "%.0f minor words < 1e5" words) true (words < 1e5);
+      match responses with
+      | [ Protocol.Failed { error; _ } ] ->
+        check_string "parse error names the register and the bound"
+          "QASM parse error: line 2: register q[1000000] takes the circuit \
+           past 5 qubits"
+          error
+      | _ -> Alcotest.fail "one failed response expected")
+
 (* ---- runner -------------------------------------------------------- *)
 
 let () =
@@ -793,8 +865,7 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "retain" `Quick test_cache_retain;
           Alcotest.test_case "counters" `Quick test_cache_counters;
-          QCheck_alcotest.to_alcotest prop_sharding_invisible;
-          QCheck_alcotest.to_alcotest prop_sharded_eviction_reproducible;
+          QCheck_alcotest.to_alcotest prop_cache_matches_model;
         ] );
       ( "admission",
         [ Alcotest.test_case "bounds" `Quick test_admission_bounds ] );
@@ -824,5 +895,7 @@ let () =
             test_service_drift_zero_threshold_is_wholesale;
           Alcotest.test_case "failures are responses" `Quick
             test_service_failures_are_responses;
+          Alcotest.test_case "huge register refused cheaply" `Quick
+            test_service_huge_register_is_refused_cheaply;
         ] );
     ]
