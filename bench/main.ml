@@ -622,7 +622,7 @@ let run_kernels_bench args =
       cold_rate cold_seconds cold_speedup;
     Printf.printf "compile warm memo: %6.2f plans/s  (%.2fs)  %.2fx\n\n%!"
       warm_rate warm_seconds warm_speedup;
-    (* simulate: flat Bigarray kernel vs the list-based oracle *)
+    (* simulate: flat register-resident kernel vs the list-based oracle *)
     let circuit = (Catalog.find "bv-16").Catalog.circuit in
     let compiled = Compiler.compile device Compiler.vqa_vqm circuit in
     let physical = compiled.Compiler.physical in

@@ -284,7 +284,10 @@ let cmd =
          estimate of its plan: trials stream in fixed chunks until the \
          tighter of the Wilson / empirical-Bernstein 95% intervals \
          reaches the precision target (default 1e-3) or the trial \
-         budget (default 1000000) runs out.  The \"estimate\" response \
+         budget runs out.  \"max_trials\" defaults to, and may not \
+         exceed, 1000000 (the paper's trials per workload): a larger \
+         budget gets one error response instead of holding the session.  \
+         The \"estimate\" response \
          object (trials, successes, pst, both intervals, half_width, \
          stop reason, budget, saved) is deterministic — seeded by \
          \"mc_seed\" (default 1) and identical for every --jobs — so \

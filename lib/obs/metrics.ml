@@ -1,12 +1,24 @@
 type counter = { cname : string; value : int Atomic.t }
 type gauge = { gname : string; gvalue : float Atomic.t }
 
+(* Log-linear buckets over the bits of a double: a positive finite
+   sample's bit pattern, shifted right by 45, keeps its 11 exponent bits
+   and the top 7 mantissa bits, so each power of two (a binade) splits
+   into 128 equal sub-buckets and a bucket's lower bound is within
+   1/128 of every sample in it.  (Subnormals, below 2^-1022, share
+   binade 0 in 128 linear buckets.)  Each binade's row of counters is
+   allocated on its first sample, so memory is bounded by the binades in
+   use, whatever the sample count. *)
+let sub_buckets = 128
+let binades = 2047 (* exponent fields of the finite doubles *)
+
 type histogram = {
   hname : string;
   hlock : Mutex.t;
-  mutable samples : float array;
-  mutable used : int;
-  mutable total : float;
+  mutable count : int;
+  mutable below : int;  (* samples that are not positive: <= 0, -inf, nan *)
+  rows : int array array;  (* per binade; [||] until its first sample *)
+  stats : float array;  (* sum, min, max (in [Float.compare] order) *)
 }
 
 (* One process-local registry.  Metric handles are created (or found)
@@ -59,52 +71,96 @@ let histogram name =
       {
         hname = name;
         hlock = Mutex.create ();
-        samples = Array.make 64 0.0;
-        used = 0;
-        total = 0.0;
+        count = 0;
+        below = 0;
+        rows = Array.make binades [||];
+        stats = [| 0.0; Float.nan; Float.nan |];
       })
+
+let bucket_index v =
+  Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 45)
 
 let observe h v =
   Mutex.lock h.hlock;
-  if h.used = Array.length h.samples then begin
-    let grown = Array.make (2 * h.used) 0.0 in
-    Array.blit h.samples 0 grown 0 h.used;
-    h.samples <- grown
+  let stats = h.stats in
+  h.count <- h.count + 1;
+  stats.(0) <- stats.(0) +. v;
+  if h.count = 1 then begin
+    stats.(1) <- v;
+    stats.(2) <- v
+  end
+  else begin
+    if Float.compare v stats.(1) < 0 then stats.(1) <- v;
+    if Float.compare v stats.(2) > 0 then stats.(2) <- v
   end;
-  h.samples.(h.used) <- v;
-  h.used <- h.used + 1;
-  h.total <- h.total +. v;
+  if not (v > 0.0) then h.below <- h.below + 1
+  else if v < Float.infinity then begin
+    let index = bucket_index v in
+    let binade = index / sub_buckets in
+    let row =
+      match h.rows.(binade) with
+      | [||] ->
+        let row = Array.make sub_buckets 0 in
+        h.rows.(binade) <- row;
+        row
+      | row -> row
+    in
+    let sub = index mod sub_buckets in
+    row.(sub) <- row.(sub) + 1
+  end;
+  (* +inf ranks above every bucket *)
   Mutex.unlock h.hlock
 
 let histogram_count h =
   Mutex.lock h.hlock;
-  let n = h.used in
+  let n = h.count in
   Mutex.unlock h.hlock;
   n
 
 let histogram_sum h =
   Mutex.lock h.hlock;
-  let s = h.total in
+  let s = h.stats.(0) in
   Mutex.unlock h.hlock;
   s
 
-let sorted_samples h =
-  Mutex.lock h.hlock;
-  let copy = Array.sub h.samples 0 h.used in
-  Mutex.unlock h.hlock;
-  Array.sort compare copy;
-  copy
+(* The smallest double in a bucket: [bucket_index] inverted. *)
+let lower_bound index =
+  Int64.float_of_bits (Int64.shift_left (Int64.of_int index) 45)
 
-(* Nearest-rank over the recorded samples (exact, not bucketed): the
-   index is monotone in [rank], so quantiles are monotone too. *)
+(* Nearest-rank over the buckets: the sample at the rank's index lies in
+   some bucket, whose lower bound, raised to the minimum, stands for it
+   (it cannot exceed the maximum).  Non-positive samples stand as the
+   minimum; +inf samples and the top-ranked sample as the exact maximum.
+   The index is monotone in [rank] and the bounds are monotone in the
+   index, so quantiles are monotone too. *)
+let bucketed_quantile h index =
+  let low = h.stats.(1) and high = h.stats.(2) in
+  if index = h.count - 1 then high
+  else if index < h.below then low
+  else begin
+    let rec walk bucket seen =
+      if bucket = binades * sub_buckets then high
+      else
+        match h.rows.(bucket / sub_buckets) with
+        | [||] -> walk (bucket + sub_buckets) seen
+        | row ->
+          let seen = seen + row.(bucket mod sub_buckets) in
+          if index >= seen then walk (bucket + 1) seen
+          else
+            let bound = lower_bound bucket in
+            if Float.compare bound low < 0 then low else bound
+    in
+    walk 0 h.below
+  end
+
 let quantile h rank =
   if not (Float.is_finite rank) || rank < 0.0 || rank > 1.0 then
     invalid_arg "Metrics.quantile: rank must be within [0, 1]";
-  let sorted = sorted_samples h in
-  let n = Array.length sorted in
-  if n = 0 then invalid_arg "Metrics.quantile: empty histogram";
-  let index = int_of_float (Float.round (rank *. float_of_int (n - 1))) in
-  sorted.(max 0 (min (n - 1) index))
+  Mutex.protect h.hlock (fun () ->
+      let n = h.count in
+      if n = 0 then invalid_arg "Metrics.quantile: empty histogram";
+      let index = int_of_float (Float.round (rank *. float_of_int (n - 1))) in
+      bucketed_quantile h (max 0 (min (n - 1) index)))
 
 let histogram_name h = h.hname
 
@@ -117,8 +173,10 @@ let reset () =
   Hashtbl.iter
     (fun _ h ->
       Mutex.lock h.hlock;
-      h.used <- 0;
-      h.total <- 0.0;
+      h.count <- 0;
+      h.below <- 0;
+      Array.fill h.rows 0 binades [||];
+      h.stats.(0) <- 0.0;
       Mutex.unlock h.hlock)
     histograms;
   Mutex.unlock registry_lock

@@ -42,17 +42,27 @@ val gauge_name : gauge -> string
 type histogram
 
 val histogram : string -> histogram
-(** Find-or-create the histogram named [name].  Observations are kept
-    exactly (no bucketing), so quantiles are exact order statistics;
-    intended for latency-style series of up to ~millions of points. *)
+(** Find-or-create the histogram named [name].  Observations land in
+    fixed log-linear buckets, 128 per power of two, so a bucket's lower
+    bound is within 1/128 of every positive normal sample in it (the
+    subnormals below 2^-1022 share 128 linear buckets); non-positive
+    and non-finite samples rank below ([<= 0], [nan]) or above ([+inf])
+    every bucket.  A power of two's row of counters is allocated on its
+    first sample, so memory stays bounded however many samples a
+    long-running process records.  Count, sum, minimum and maximum are
+    exact. *)
 
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 
 val quantile : histogram -> float -> float
-(** [quantile h rank] is the nearest-rank order statistic for [rank] in
-    [0, 1]; monotone in [rank].
+(** [quantile h rank] takes the nearest-rank index for [rank] in
+    [0, 1] and returns the lower bound of the bucket holding that
+    sample, clamped to the exact [min, max]: within 1/128 of the exact
+    order statistic for positive samples, never above it, and exact at
+    ranks 0 and 1.  Non-positive samples stand as the minimum.
+    Monotone in [rank].
     @raise Invalid_argument on an empty histogram or a rank outside
     [0, 1]. *)
 

@@ -275,6 +275,19 @@ let estimator_config (er : Protocol.estimate_request) =
     max_trials = er.Protocol.max_trials;
   }
 
+(* A rider runs inline on its session's domain, so its budget is capped
+   at the paper's one million trials per workload: without a ceiling one
+   request could hold the session for as long as it asked. *)
+let max_trials_ceiling = Estimator.default_config.Estimator.max_trials
+
+let validate_rider er =
+  match Estimator.validate_config (estimator_config er) with
+  | Ok _ when er.Protocol.max_trials > max_trials_ceiling ->
+    Error
+      (Printf.sprintf "max-trials must be at most %d (got %d)"
+         max_trials_ceiling er.Protocol.max_trials)
+  | result -> result
+
 let resolve t (request : Protocol.request) =
   let circuit =
     match request.Protocol.source with
@@ -323,8 +336,7 @@ let resolve t (request : Protocol.request) =
           let estimate_ok =
             match request.Protocol.estimate with
             | None -> Ok ()
-            | Some er ->
-              Result.map ignore (Estimator.validate_config (estimator_config er))
+            | Some er -> Result.map ignore (validate_rider er)
           in
           match estimate_ok with
           | Error message -> Error ("estimate: " ^ message)

@@ -82,6 +82,27 @@ let test_kernel_out_of_range_probabilities () =
   assert_kernel_matches ~name:"clamped edges" [| -0.0; 1.0 -. 1e-16 |] ~seed:6
     ~count:500
 
+(* Edge tables: where the first always-firing event sits decides where
+   the kernel's table ends, and [events] still counts every event. *)
+let test_kernel_edge_tables () =
+  List.iter
+    (fun (name, probabilities, count) ->
+      check_int (name ^ ": events")
+        (Array.length probabilities)
+        (Mc_kernel.events (Mc_kernel.of_probabilities probabilities));
+      assert_kernel_matches ~name probabilities ~seed:13 ~count)
+    [
+      ("always fires first", [| 1.0; 0.3; 0.2 |], 100);
+      ("always fires in the middle", [| 0.3; 0.0; 1.0; 0.2 |], 1000);
+      ("always fires last", [| 0.1; 0.2; 1.0 |], 1000);
+      ("all p <= 0", [| 0.0; -1.0; -0.0; 0.0 |], 1000);
+      ("one drawing event among skips", [| 0.0; 0.4; 0.0 |], 1000);
+      ("one drawing event alone", [| 0.4 |], 1000);
+      ("count 0", [| 0.3; 0.5; 1.0 |], 0);
+      ("count 0, no events", [||], 0);
+      ("nan draws and never fires", [| 0.2; Float.nan; 0.3 |], 1000);
+    ]
+
 let gen_probability =
   QCheck2.Gen.(
     oneof
@@ -296,6 +317,7 @@ let () =
             test_kernel_degenerate_tables;
           Alcotest.test_case "out-of-range probabilities" `Quick
             test_kernel_out_of_range_probabilities;
+          Alcotest.test_case "edge tables" `Quick test_kernel_edge_tables;
         ]
         @ qcheck [ prop_kernel_matches_oracle ] );
       ( "engines",

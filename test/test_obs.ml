@@ -125,6 +125,56 @@ let prop_histogram_quantiles_monotone =
       List.iter (Metrics.observe h) samples;
       Metrics.quantile h low <= Metrics.quantile h high)
 
+(* The exact nearest-rank order statistic, for the bucketed histogram to
+   be held against. *)
+let exact_quantile samples rank =
+  let sorted = Array.of_list samples in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  sorted.(int_of_float (Float.round (rank *. float_of_int (n - 1))))
+
+let positive_sample =
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun (m, e) -> Float.ldexp m e)
+          (pair (float_range 0.5 1.0) (int_range (-60) 60));
+        float_range 1e-7 10.0;
+        oneofl [ 1.0; 2.0; 3.0; 1e-3 ];
+      ])
+
+let prop_histogram_quantiles_within_bound =
+  QCheck.Test.make ~count:300
+    ~name:"bucketed quantiles within 1/128 of the exact ones"
+    QCheck.(
+      pair
+        (make Gen.(list_size (1 -- 200) positive_sample))
+        (float_range 0.0 1.0))
+    (fun (samples, rank) ->
+      let h = Metrics.histogram (fresh "bucketed") in
+      List.iter (Metrics.observe h) samples;
+      let exact = exact_quantile samples rank in
+      let q = Metrics.quantile h rank in
+      q <= exact
+      && exact -. q <= exact /. 128.0
+      && Metrics.quantile h 0.0 = exact_quantile samples 0.0
+      && Metrics.quantile h 1.0 = exact_quantile samples 1.0)
+
+(* Memory is bounded by the buckets in use, not by the sample count. *)
+let test_histogram_memory_is_bounded () =
+  let h = Metrics.histogram (fresh "bounded") in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  for i = 1 to 1_000_000 do
+    Metrics.observe h (float_of_int i *. 1e-6)
+  done;
+  let grown = (Gc.quick_stat ()).Gc.heap_words - before in
+  check_int "every sample counted" 1_000_000 (Metrics.histogram_count h);
+  check
+    (Printf.sprintf "heap grew by %d words < 64K" grown)
+    true (grown < 65_536)
+
 (* ---- spans ---------------------------------------------------------- *)
 
 let test_with_span_nests_and_times () =
@@ -286,6 +336,9 @@ let () =
           Alcotest.test_case "bad queries" `Quick
             test_histogram_rejects_bad_queries;
           QCheck_alcotest.to_alcotest prop_histogram_quantiles_monotone;
+          QCheck_alcotest.to_alcotest prop_histogram_quantiles_within_bound;
+          Alcotest.test_case "memory bounded over 10^6 samples" `Quick
+            test_histogram_memory_is_bounded;
         ] );
       ( "spans",
         [

@@ -21,6 +21,7 @@ module Session = Vqc_serve_net.Session
 module Server = Vqc_serve_net.Server
 module Load = Vqc_serve_net.Load
 module Diagnostic = Vqc_diag.Diagnostic
+module Metrics = Vqc_obs.Metrics
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -111,7 +112,8 @@ let read_lines path =
 
 (* The golden for a stream: Session.run over file channels — exactly
    the stdin front end of vqc-serve, minus the terminal. *)
-let stdin_run ?(session = Session.default_config) ~config lines =
+let stdin_run ?(session = Session.default_config) ?(epochs = epochs) ~config
+    lines =
   with_temp_file (fun in_path ->
       with_temp_file (fun out_path ->
           Out_channel.with_open_text in_path (fun oc ->
@@ -144,7 +146,7 @@ let base_config ~jobs =
   }
 
 let with_server ?(clients_max = 16) ?(session = Session.default_config)
-    ~jobs f =
+    ?(epochs = epochs) ?(service = base_config) ~jobs f =
   let server =
     Server.start
       ~config:
@@ -152,7 +154,7 @@ let with_server ?(clients_max = 16) ?(session = Session.default_config)
           Server.default_config with
           Server.clients_max;
           session;
-          service = base_config ~jobs;
+          service = service ~jobs;
           store_capacity = 64;
         }
       (epochs ())
@@ -199,6 +201,54 @@ let test_tcp_matches_stdin () =
             expected actual)
         (List.combine (deterministic golden)
            (deterministic result.Load.lines)))
+
+(* ---- the wire estimate rider, golden-enforced ----------------------- *)
+
+(* vqc-serve's default Q20 rotation (seed 2), two days long.  The
+   golden holds estimate riders over four workloads x three policies x
+   two precisions, a budget stop, a full budget that is not a chunk
+   multiple, a default rider, an inline-QASM rider and one rider over
+   the trial ceiling.  Its estimate bytes predate the register-resident
+   chunk kernel, so they pin the kernel's bit-identity through the whole
+   wire path. *)
+let q20_epochs () =
+  Epoch.of_history ~name:"Q20" ~coupling:Topologies.ibm_q20_tokyo
+    (History.generate ~days:2 ~seed:2 ~coupling:Topologies.ibm_q20_tokyo 20)
+
+let estimate_service ~jobs = { Service.default_config with Service.jobs }
+
+let test_estimate_rider_golden () =
+  let requests = read_lines "fixtures/estimate_requests.ndjson" in
+  let golden = read_lines "golden/estimate-rider.expected" in
+  let check_lines name lines =
+    check_int (name ^ ": one response per request") (List.length golden)
+      (List.length lines);
+    List.iteri
+      (fun i (expected, actual) ->
+        check_string (Printf.sprintf "%s: line %d" name i) expected actual)
+      (List.combine golden (deterministic lines))
+  in
+  List.iter
+    (fun jobs ->
+      let _, lines =
+        stdin_run ~epochs:q20_epochs ~config:(estimate_service ~jobs) requests
+      in
+      check_lines (Printf.sprintf "stdin jobs=%d" jobs) lines)
+    [ 1; 2 ];
+  with_server ~epochs:q20_epochs ~service:estimate_service ~jobs:1 (fun port ->
+      check_lines "tcp" (Load.client ~port ~requests ()).Load.lines;
+      (* the over-ceiling rider (the fixture's last line) alone: one
+         error line, no trial run *)
+      let over_ceiling = List.nth requests (List.length requests - 1) in
+      let runs () =
+        Metrics.counter_value (Metrics.counter "sim.estimator.runs")
+      in
+      let runs_before = runs () in
+      let result = Load.client ~port ~requests:[ over_ceiling ] () in
+      check_int "one response" 1 (List.length result.Load.lines);
+      check "an error response" true
+        (contains (List.hd result.Load.lines) {|"status":"error"|});
+      check_int "refused before any trial" runs_before (runs ()))
 
 (* ---- multi-client determinism wall ---------------------------------- *)
 
@@ -507,6 +557,8 @@ let () =
     [
       ( "determinism",
         [
+          Alcotest.test_case "estimate rider golden (stdin jobs 1/2, TCP)"
+            `Quick test_estimate_rider_golden;
           Alcotest.test_case "single-client TCP = stdin" `Quick
             test_tcp_matches_stdin;
           Alcotest.test_case "concurrent clients match solo goldens" `Slow

@@ -837,6 +837,44 @@ let test_service_huge_register_is_refused_cheaply () =
           error
       | _ -> Alcotest.fail "one failed response expected")
 
+(* The wire caps an estimate rider's budget at the paper's one million
+   trials: the ceiling itself is served, one trial more is refused, and
+   a budget no session could ever finish is refused before a single
+   trial runs. *)
+let test_service_trial_ceiling () =
+  Service.with_service (q5_epochs ()) (fun service ->
+      List.iter
+        (fun (max_trials, precision, refusal) ->
+          let rider = { Protocol.precision; max_trials; mc_seed = 1 } in
+          let runs = counter "sim.estimator.runs" in
+          (match
+             Service.submit service
+               { (request ~id:1 "bv-3") with Protocol.estimate = Some rider }
+           with
+          | Ok () -> ()
+          | Error _ -> Alcotest.fail "unexpected rejection");
+          let name = Printf.sprintf "max_trials %d" max_trials in
+          match (Service.flush service, refusal) with
+          | [ Protocol.Compiled { estimate = Some e; _ } ], None ->
+            check_int (name ^ ": budget") max_trials e.Vqc_sim.Estimator.budget
+          | [ Protocol.Failed { error; _ } ], Some message ->
+            check_string name message error;
+            check_int (name ^ ": refused before any trial") runs
+              (counter "sim.estimator.runs")
+          | _ -> Alcotest.failf "%s: unexpected response" name)
+        [
+          (1_000_000, 1e-2, None);
+          ( 1_000_001,
+            1e-2,
+            Some "estimate: max-trials must be at most 1000000 (got 1000001)"
+          );
+          ( max_int,
+            0.0,
+            Some
+              "estimate: max-trials must be at most 1000000 (got \
+               4611686018427387903)" );
+        ])
+
 (* ---- runner -------------------------------------------------------- *)
 
 let () =
@@ -895,6 +933,8 @@ let () =
             test_service_drift_zero_threshold_is_wholesale;
           Alcotest.test_case "failures are responses" `Quick
             test_service_failures_are_responses;
+          Alcotest.test_case "estimate trial ceiling" `Quick
+            test_service_trial_ceiling;
           Alcotest.test_case "huge register refused cheaply" `Quick
             test_service_huge_register_is_refused_cheaply;
         ] );
