@@ -472,10 +472,8 @@ let run_compile_bench args =
 
 (* Repeat a deterministic run until at least [min_seconds] of wall time
    has accumulated, so fast configurations are not timed off a single
-   sub-millisecond sample. *)
-let sustained_rate ~units ~min_seconds run =
-  run ();
-  (* warm-up: table construction, allocation, code paths *)
+   sub-millisecond sample.  The caller warms the run up first. *)
+let window_rate ~units ~min_seconds run =
   let started = Unix.gettimeofday () in
   let repetitions = ref 0 in
   let elapsed = ref 0.0 in
@@ -626,43 +624,77 @@ let run_kernels_bench args =
     let circuit = (Catalog.find "bv-16").Catalog.circuit in
     let compiled = Compiler.compile device Compiler.vqa_vqm circuit in
     let physical = compiled.Compiler.physical in
-    let measure ~engine ~jobs =
-      sustained_rate ~units:!trials ~min_seconds:0.5 (fun () ->
-          ignore
-            (Monte_carlo.run ~engine ~jobs ~trials:!trials (Rng.make 1) device
-               physical))
+    let run ~engine ~jobs () =
+      ignore
+        (Monte_carlo.run ~engine ~jobs ~trials:!trials (Rng.make 1) device
+           physical)
     in
+    (* One 0.5 s window per engine reads a VM's speed drift as much as
+       the kernels (the same tree read 6.8x to 9.0x), so the engines
+       take turns over [mc_rounds] windows each, the one going first
+       alternating, and the gate reads the median of the per-round
+       ratios. *)
+    let mc_rounds = 5 in
+    let engines =
+      [ ("flat", Monte_carlo.Flat); ("reference", Monte_carlo.Reference) ]
+    in
+    let rounds jobs =
+      List.iter (fun (_, engine) -> run ~engine ~jobs ()) engines;
+      List.init mc_rounds (fun round ->
+          let order = if round mod 2 = 0 then engines else List.rev engines in
+          let rates =
+            List.map
+              (fun (name, engine) ->
+                ( name,
+                  window_rate ~units:!trials ~min_seconds:0.5
+                    (run ~engine ~jobs) ))
+              order
+          in
+          (List.assoc "flat" rates, List.assoc "reference" rates))
+    in
+    let measured = List.map (fun jobs -> (jobs, rounds jobs)) [ 1; 4 ] in
     let mc_rows =
       List.concat_map
-        (fun jobs ->
+        (fun (jobs, windows) ->
           [
             {
               mc_engine = "flat";
               mc_jobs = jobs;
-              trials_per_s = measure ~engine:Monte_carlo.Flat ~jobs;
+              trials_per_s = median (List.map fst windows);
             };
             {
               mc_engine = "reference";
               mc_jobs = jobs;
-              trials_per_s = measure ~engine:Monte_carlo.Reference ~jobs;
+              trials_per_s = median (List.map snd windows);
             };
           ])
-        [ 1; 4 ]
+        measured
     in
-    let rate ~engine ~jobs =
-      (List.find (fun r -> r.mc_engine = engine && r.mc_jobs = jobs) mc_rows)
-        .trials_per_s
+    let ratios jobs =
+      List.map
+        (fun (flat, reference) -> flat /. reference)
+        (List.assoc jobs measured)
     in
-    let mc_speedup jobs =
-      rate ~engine:"flat" ~jobs /. rate ~engine:"reference" ~jobs
+    let mc_speedup jobs = median (ratios jobs) in
+    let spread jobs =
+      let sorted = List.sort compare (ratios jobs) in
+      (List.hd sorted, List.nth sorted (List.length sorted - 1))
     in
     List.iter
       (fun row ->
-        Printf.printf "mc %-9s jobs=%d: %12.0f trials/s\n" row.mc_engine
-          row.mc_jobs row.trials_per_s)
+        Printf.printf
+          "mc %-9s jobs=%d: %12.0f trials/s (median of %d windows)\n"
+          row.mc_engine row.mc_jobs row.trials_per_s mc_rounds)
       mc_rows;
-    Printf.printf "mc flat speedup: %.2fx (jobs=1), %.2fx (jobs=4)\n\n%!"
-      (mc_speedup 1) (mc_speedup 4);
+    List.iter
+      (fun jobs ->
+        let low, high = spread jobs in
+        Printf.printf
+          "mc flat speedup jobs=%d: %.2fx median of %d rounds (min %.2fx, \
+           max %.2fx)\n"
+          jobs (mc_speedup jobs) mc_rounds low high)
+      [ 1; 4 ];
+    print_newline ();
     let json =
       Json.Obj
         [
@@ -695,7 +727,10 @@ let run_kernels_bench args =
                              ("trials_per_s", Json.Float row.trials_per_s);
                            ])
                        mc_rows) );
+                ("rounds", Json.Int mc_rounds);
                 ("mc_flat_speedup", Json.Float (mc_speedup 1));
+                ("mc_flat_speedup_min", Json.Float (fst (spread 1)));
+                ("mc_flat_speedup_max", Json.Float (snd (spread 1)));
                 ("mc_flat_speedup_jobs4", Json.Float (mc_speedup 4));
               ] );
         ]

@@ -133,6 +133,10 @@ let allocate device circuit policy =
       (Printf.sprintf "Allocation: %d program qubits on a %d-qubit device"
          programs physicals);
   match policy with
+  | _ when programs = 0 ->
+    (* an empty program has one layout under every policy, and a region
+       search has no empty region to look for *)
+    Layout.identity ~programs ~physicals
   | Trivial -> Layout.identity ~programs ~physicals
   | Random seed ->
     let rng = Rng.make seed in

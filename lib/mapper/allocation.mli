@@ -32,7 +32,8 @@ val vqa_readout : policy
     [Vqa { activity_window = None; readout_aware = true }]. *)
 
 val allocate : Vqc_device.Device.t -> Vqc_circuit.Circuit.t -> policy -> Layout.t
-(** Compute the initial layout.
+(** Compute the initial layout.  A program with no qubits gets the empty
+    layout under every policy.
     @raise Invalid_argument if the program needs more qubits than the
     device provides. *)
 

@@ -12,6 +12,16 @@ type t = {
   dist : float array array;  (* all-pairs cheapest swap-route cost *)
   adjacency : float array array;
   hop : int array array;
+  (* Routing tables, so the searches never go back to the device's
+     hash tables: the couplers in [Device.coupling] order, an n x n
+     adjacency bitmap, each qubit's neighbours in increasing order, and
+     the per-orientation CNOT and SWAP costs of every coupler (NaN off
+     the coupling map). *)
+  couplers : (int * int) array;
+  linked : Bytes.t;
+  neighbors : int array array;
+  cnot : float array array;
+  swap : float array array;
 }
 
 (* Stamps are only ever cache keys — the counter is mutex-protected so
@@ -53,28 +63,54 @@ let make ?(swap_bias = default_swap_bias) device model =
   let dist = Paths.all_pairs cost_graph in
   let hop = Device.hop_distance device in
   let n = Device.num_qubits device in
-  let couplers = Device.coupling device in
-  let execution u v = execution_cost model device u v in
+  let couplers = Array.of_list (Device.coupling device) in
+  let linked = Bytes.make (n * n) '\000' in
+  let cnot = Array.make_matrix n n Float.nan in
+  let swap = Array.make_matrix n n Float.nan in
+  let orient u v =
+    Bytes.set linked ((u * n) + v) '\001';
+    cnot.(u).(v) <- execution_cost model device u v;
+    swap.(u).(v) <- Graph.edge_weight_exn cost_graph u v
+  in
+  Array.iter
+    (fun (u, v) ->
+      orient u v;
+      orient v u)
+    couplers;
   let adjacency = Array.make_matrix n n 0.0 in
   for p = 0 to n - 1 do
     for q = 0 to n - 1 do
       if p <> q then begin
         let best = ref Float.infinity in
-        List.iter
-          (fun (a, b) ->
-            let route =
-              Float.min
-                (dist.(p).(a) +. dist.(q).(b))
-                (dist.(p).(b) +. dist.(q).(a))
-            in
-            let via = route +. execution a b in
-            if via < !best then best := via)
-          couplers;
+        for i = 0 to Array.length couplers - 1 do
+          let a, b = couplers.(i) in
+          let route =
+            Float.min
+              (dist.(p).(a) +. dist.(q).(b))
+              (dist.(p).(b) +. dist.(q).(a))
+          in
+          let via = route +. cnot.(a).(b) in
+          if via < !best then best := via
+        done;
         adjacency.(p).(q) <- !best
       end
     done
   done;
-  { id = fresh_stamp (); model; device; cost_graph; dist; adjacency; hop }
+  {
+    id = fresh_stamp ();
+    model;
+    device;
+    cost_graph;
+    dist;
+    adjacency;
+    hop;
+    couplers;
+    linked;
+    neighbors =
+      Array.init n (fun u -> Array.of_list (Device.neighbors device u));
+    cnot;
+    swap;
+  }
 
 (* ---- construction cache --------------------------------------------
 
@@ -117,8 +153,9 @@ let cached ?(swap_bias = default_swap_bias) device model =
   | Some t -> t
   | None ->
     (* build outside the lock: construction is the expensive part and
-       [make] is pure.  A concurrent miss may build twice; last write
-       wins and both results are equivalent. *)
+       [make] is pure.  Two concurrent misses may both build; the first
+       table stored stays, and both callers get that one (so they share
+       one {!id}, and the second build is dropped). *)
     let t = make ~swap_bias device model in
     Mutex.lock cache_lock;
     (if not (List.mem_assoc (model, swap_bias) !entry) then
@@ -135,16 +172,23 @@ let id t = t.id
 let model t = t.model
 let device t = t.device
 
+let coupled t u v =
+  let n = Array.length t.neighbors in
+  u >= 0 && u < n && v >= 0 && v < n
+  && Bytes.unsafe_get t.linked ((u * n) + v) <> '\000'
+
 let swap_cost t u v =
-  match Graph.edge_weight t.cost_graph u v with
-  | Some w -> w
-  | None ->
-    invalid_arg (Printf.sprintf "Cost.swap_cost: %d--%d not coupled" u v)
+  if not (coupled t u v) then
+    invalid_arg (Printf.sprintf "Cost.swap_cost: %d--%d not coupled" u v);
+  t.swap.(u).(v)
 
 let cnot_cost t u v =
-  if not (Device.connected t.device u v) then
+  if not (coupled t u v) then
     invalid_arg (Printf.sprintf "Cost.cnot_cost: %d--%d not coupled" u v);
-  execution_cost t.model t.device u v
+  t.cnot.(u).(v)
+
+let couplers t = t.couplers
+let neighbors t u = t.neighbors.(u)
 
 let distance t p q = t.dist.(p).(q)
 let entangle_cost t p q = t.adjacency.(p).(q)

@@ -27,8 +27,11 @@ val default_swap_bias : float
     unaffected (its unit cost already counts SWAPs). *)
 
 val make : ?swap_bias:float -> Vqc_device.Device.t -> model -> t
-(** Precompute the distance and adjacency-cost matrices for a device.
-    [swap_bias] applies to the [Reliability] model only. *)
+(** Precompute the distance and adjacency-cost matrices for a device,
+    and the routing tables the searches read instead of the device:
+    its couplers, an adjacency bitmap, sorted neighbour arrays, and the
+    CNOT and SWAP cost of every coupler.  [swap_bias] applies to the
+    [Reliability] model only. *)
 
 val cached : ?swap_bias:float -> Vqc_device.Device.t -> model -> t
 (** [make] with a small process-wide cache keyed on the device's
@@ -55,6 +58,18 @@ val cnot_cost : t -> int -> int -> float
     don't influence its SWAP minimization) and [-log(1 - e)] under
     [Reliability] — the execution link matters as much as the route.
     @raise Invalid_argument if the qubits are not coupled. *)
+
+val coupled : t -> int -> int -> bool
+(** [Vqc_device.Device.connected] read from the table's adjacency
+    bitmap (false for out-of-range qubits). *)
+
+val couplers : t -> (int * int) array
+(** The device's couplers in {!Vqc_device.Device.coupling} order
+    ([u < v], sorted).  Shared: do not mutate. *)
+
+val neighbors : t -> int -> int array
+(** [Vqc_device.Device.neighbors] as an array, in increasing order.
+    Shared: do not mutate. *)
 
 val distance : t -> int -> int -> float
 (** Cheapest SWAP-route cost between two physical qubits (0 when equal). *)

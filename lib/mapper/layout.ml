@@ -42,13 +42,20 @@ let occupied l phys = program_of_physical l phys <> None
 
 let swap_physical l u v =
   if u = v then invariant_violation "Layout.swap_physical: identical qubits";
-  let pu = program_of_physical l u and pv = program_of_physical l v in
+  let check phys =
+    if phys < 0 || phys >= physicals l then
+      invariant_violation "Layout: physical qubit %d out of range" phys
+  in
+  check u;
+  check v;
+  (* occupants as raw program indexes, -1 when empty: no option boxes *)
+  let pu = l.prog_of_phys.(u) and pv = l.prog_of_phys.(v) in
   let phys_of_prog = Array.copy l.phys_of_prog in
   let prog_of_phys = Array.copy l.prog_of_phys in
-  prog_of_phys.(u) <- (match pv with None -> -1 | Some p -> p);
-  prog_of_phys.(v) <- (match pu with None -> -1 | Some p -> p);
-  (match pu with None -> () | Some p -> phys_of_prog.(p) <- v);
-  (match pv with None -> () | Some p -> phys_of_prog.(p) <- u);
+  prog_of_phys.(u) <- pv;
+  prog_of_phys.(v) <- pu;
+  if pu >= 0 then phys_of_prog.(pu) <- v;
+  if pv >= 0 then phys_of_prog.(pv) <- u;
   { phys_of_prog; prog_of_phys }
 
 let assignment l = Array.copy l.phys_of_prog

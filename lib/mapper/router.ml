@@ -49,11 +49,10 @@ let physical_pair layout (a, b) =
   (Layout.physical_of_program layout a, Layout.physical_of_program layout b)
 
 let executable cost layout pairs =
-  let device = Cost.device cost in
   List.for_all
     (fun pair ->
       let u, v = physical_pair layout pair in
-      Device.connected device u v)
+      Cost.coupled cost u v)
     pairs
 
 (* ---- bridge execution (extension; see mli) ------------------------- *)
@@ -61,21 +60,25 @@ let executable cost layout pairs =
 (* Cheapest middle qubit for a bridged CNOT between physical [u] and [v]
    (two CNOTs across each leg), if the pair sits at hop distance 2. *)
 let bridge_middle cost u v =
-  let device = Cost.device cost in
-  if Device.connected device u v then None
+  if Cost.coupled cost u v then None
   else begin
     let best = ref None in
-    List.iter
+    Array.iter
       (fun m ->
-        if Device.connected device m v then begin
+        if Cost.coupled cost m v then begin
           let total = 2.0 *. (Cost.cnot_cost cost u m +. Cost.cnot_cost cost m v) in
           match !best with
           | Some (best_total, _) when best_total <= total -> ()
           | _ -> best := Some (total, m)
         end)
-      (Device.neighbors device u);
+      (Cost.neighbors cost u);
     !best
   end
+
+(* [bridge_middle cost u v <> None], without building the answer. *)
+let bridgeable_pair cost u v =
+  (not (Cost.coupled cost u v))
+  && Array.exists (fun m -> Cost.coupled cost m v) (Cost.neighbors cost u)
 
 (* A layer's two-qubit obligations: program CNOTs may execute bridged
    (when enabled), program SWAPs always need adjacency. *)
@@ -91,15 +94,17 @@ let layer_obligations ~bridges layer =
       | Gate.One_qubit _ | Gate.Measure _ | Gate.Barrier _ -> None)
     layer
 
+(* Whether an obligation between physical [u] and [v] can execute. *)
+let pair_satisfied cost bridgeable u v =
+  Cost.coupled cost u v || (bridgeable && bridgeable_pair cost u v)
+
 let obligation_satisfied cost layout { operands; bridgeable } =
   let u, v = physical_pair layout operands in
-  Device.connected (Cost.device cost) u v
-  || (bridgeable && bridge_middle cost u v <> None)
+  pair_satisfied cost bridgeable u v
 
-(* Cost of executing one obligation under the current layout. *)
-let obligation_execution_cost cost layout { operands; bridgeable } =
-  let u, v = physical_pair layout operands in
-  if Device.connected (Cost.device cost) u v then Cost.cnot_cost cost u v
+(* Cost of executing one obligation between physical [u] and [v]. *)
+let pair_execution_cost cost bridgeable u v =
+  if Cost.coupled cost u v then Cost.cnot_cost cost u v
   else if bridgeable then
     match bridge_middle cost u v with
     | Some (total, _) -> total
@@ -148,10 +153,9 @@ let walk_full ctx path =
    minimizes route + execution cost, drag the first operand onto it, then
    bring the second operand adjacent. *)
 let greedy_satisfy ctx cost (a, b) =
-  let device = Cost.device cost in
   let adjacent () =
     let pa, pb = physical_pair ctx.layout (a, b) in
-    Device.connected device pa pb
+    Cost.coupled cost pa pb
   in
   if not (adjacent ()) then begin
     let pa, pb = physical_pair ctx.layout (a, b) in
@@ -161,14 +165,14 @@ let greedy_satisfy ctx cost (a, b) =
       | Some (best_total, _, _) when best_total <= total -> ()
       | _ -> best := Some (total, anchor, other)
     in
-    List.iter
+    Array.iter
       (fun (x, y) ->
         let execution = Cost.cnot_cost cost x y in
         consider x y
           (Cost.distance cost pa x +. Cost.distance cost pb y +. execution);
         consider y x
           (Cost.distance cost pa y +. Cost.distance cost pb x +. execution))
-      (Device.coupling device);
+      (Cost.couplers cost);
     match !best with
     | None -> invalid_arg "Router: device has no couplers"
     | Some (_, anchor, _) ->
@@ -186,9 +190,21 @@ let greedy_satisfy ctx cost (a, b) =
    execution costs and reaches the terminal state.  This makes the
    search minimize route cost *and* execution-link cost together — under
    the reliability model a free adjacency across a terrible link is not
-   a bargain (paper Algorithm 1: D covers the full cost to entangle). *)
+   a bargain (paper Algorithm 1: D covers the full cost to entangle).
 
-type search_state = { layout : Layout.t; swap_count : int; executed : bool }
+   A state's layout is its program->physical assignment packed into a
+   string: one byte per program qubit on devices under 256 qubits, more
+   above (big-endian, fixed width).  The string is also the state's
+   duplicate key ("X"-prefixed once executed), so a successor costs one
+   copy with two entries rewritten and nothing else.  Each successor
+   records the coupler it swapped across, which the replay emits. *)
+
+type search_state = {
+  packed : string;
+  swap_count : int;
+  executed : bool;
+  via : int;  (* index into [Cost.couplers] of the producing swap, or -1 *)
+}
 
 (* [default_lookahead] discounts the entangle cost of the following
    layer's gates, charged at the execute transition: optimizing one layer
@@ -196,82 +212,145 @@ type search_state = { layout : Layout.t; swap_count : int; executed : bool }
    layer dearly (Zulehner et al. use a lookahead for the same reason). *)
 let default_lookahead = 0.5
 
+(* Bytes per program qubit in a packed state: one below 256 physical
+   qubits (where {!Layout.key} packs one too), else as many as the
+   largest physical index needs, and at least two. *)
+let packed_width physicals =
+  let rec width bytes limit =
+    if physicals - 1 <= limit then bytes
+    else width (bytes + 1) ((limit lsl 8) lor 255)
+  in
+  if physicals < 256 then 1 else width 2 65535
+
 let layer_search cost ~max_additional_hops ~max_expansions ~lookahead
     ~next_pairs layout obligations =
-  let couplers = Device.coupling (Cost.device cost) in
-  let physicals = Device.num_qubits (Cost.device cost) in
-  let min_moves l =
+  let couplers = Cost.couplers cost in
+  let physicals = Layout.physicals layout in
+  let programs = Layout.programs layout in
+  let width = packed_width physicals in
+  let phys packed prog =
+    if width = 1 then Char.code (String.unsafe_get packed prog)
+    else begin
+      let at = prog * width in
+      let value = ref 0 in
+      for i = 0 to width - 1 do
+        value :=
+          (!value lsl 8) lor Char.code (String.unsafe_get packed (at + i))
+      done;
+      !value
+    end
+  in
+  let set bytes prog value =
+    if width = 1 then Bytes.unsafe_set bytes prog (Char.unsafe_chr value)
+    else begin
+      let at = prog * width in
+      for i = 0 to width - 1 do
+        Bytes.unsafe_set bytes (at + i)
+          (Char.unsafe_chr ((value lsr (8 * (width - 1 - i))) land 255))
+      done
+    end
+  in
+  let start =
+    let bytes = Bytes.create (programs * width) in
+    for prog = 0 to programs - 1 do
+      set bytes prog (Layout.physical_of_program layout prog)
+    done;
+    Bytes.unsafe_to_string bytes
+  in
+  let min_moves packed =
     List.fold_left
-      (fun acc { operands; bridgeable } ->
-        let u, v = physical_pair l operands in
-        let direct = Cost.hops_to_adjacency cost u v in
+      (fun acc { operands = a, b; bridgeable } ->
+        let direct =
+          Cost.hops_to_adjacency cost (phys packed a) (phys packed b)
+        in
         acc + if bridgeable then max 0 (direct - 1) else direct)
       0 obligations
   in
   let budget =
     match max_additional_hops with
     | None -> max_int
-    | Some mah -> min_moves layout + mah
+    | Some mah -> min_moves start + mah
   in
-  let satisfied l = List.for_all (obligation_satisfied cost l) obligations in
-  let execution_cost l =
+  let satisfied packed =
+    List.for_all
+      (fun { operands = a, b; bridgeable } ->
+        pair_satisfied cost bridgeable (phys packed a) (phys packed b))
+      obligations
+  in
+  let execution_cost packed =
     let this_layer =
       List.fold_left
-        (fun acc obligation -> acc +. obligation_execution_cost cost l obligation)
+        (fun acc { operands = a, b; bridgeable } ->
+          acc
+          +. pair_execution_cost cost bridgeable (phys packed a)
+               (phys packed b))
         0.0 obligations
     in
     let next_layer =
       List.fold_left
         (fun acc (a, b) ->
-          acc
-          +. Cost.entangle_cost cost
-               (Layout.physical_of_program l a)
-               (Layout.physical_of_program l b))
+          acc +. Cost.entangle_cost cost (phys packed a) (phys packed b))
         0.0 next_pairs
     in
     this_layer +. (lookahead *. next_layer)
   in
-  (* one byte per physical qubit — rebuilt per expansion, so cheap beats
-     general (a Hashtbl here dominated the successor-generation profile) *)
-  let active l =
-    let set = Bytes.make physicals '\000' in
-    List.iter
-      (fun { operands = a, b; _ } ->
-        Bytes.unsafe_set set (Layout.physical_of_program l a) '\001';
-        Bytes.unsafe_set set (Layout.physical_of_program l b) '\001')
-      obligations;
-    set
-  in
+  (* Per-expansion scratch, reset after each use: which program qubit
+     sits on each physical qubit, and which physical qubits the layer's
+     obligations occupy. *)
+  let occupant = Array.make physicals (-1) in
+  let active = Bytes.make physicals '\000' in
   let successors state =
     if state.executed then []
     else begin
-      let active_set = active state.layout in
-      let touches u v =
-        Bytes.unsafe_get active_set u = '\001'
-        || Bytes.unsafe_get active_set v = '\001'
-      in
-      let swaps =
-        List.filter_map
-          (fun (u, v) ->
-            if not (touches u v) then None
-            else begin
-              let layout = Layout.swap_physical state.layout u v in
-              let next =
-                { layout; swap_count = state.swap_count + 1; executed = false }
-              in
-              (* with no MAH budget the bound is [max_int] and the prune
-                 can never fire — skip the [min_moves] recomputation *)
-              if
-                budget <> max_int
-                && next.swap_count + min_moves layout > budget
-              then None
-              else Some (next, Cost.swap_cost cost u v)
-            end)
-          couplers
-      in
-      if satisfied state.layout then
-        ({ state with executed = true }, execution_cost state.layout) :: swaps
-      else swaps
+      let packed = state.packed in
+      for prog = 0 to programs - 1 do
+        occupant.(phys packed prog) <- prog
+      done;
+      List.iter
+        (fun { operands = a, b; _ } ->
+          Bytes.unsafe_set active (phys packed a) '\001';
+          Bytes.unsafe_set active (phys packed b) '\001')
+        obligations;
+      let swaps = ref [] in
+      for i = Array.length couplers - 1 downto 0 do
+        let u, v = couplers.(i) in
+        if
+          Bytes.unsafe_get active u = '\001'
+          || Bytes.unsafe_get active v = '\001'
+        then begin
+          let bytes = Bytes.of_string packed in
+          let pu = occupant.(u) and pv = occupant.(v) in
+          if pu >= 0 then set bytes pu v;
+          if pv >= 0 then set bytes pv u;
+          let next =
+            {
+              packed = Bytes.unsafe_to_string bytes;
+              swap_count = state.swap_count + 1;
+              executed = false;
+              via = i;
+            }
+          in
+          (* with no MAH budget the bound is [max_int] and the prune
+             can never fire — skip the [min_moves] recomputation *)
+          if
+            not
+              (budget <> max_int
+              && next.swap_count + min_moves next.packed > budget)
+          then swaps := (next, Cost.swap_cost cost u v) :: !swaps
+        end
+      done;
+      for prog = 0 to programs - 1 do
+        occupant.(phys packed prog) <- -1
+      done;
+      List.iter
+        (fun { operands = a, b; _ } ->
+          Bytes.unsafe_set active (phys packed a) '\000';
+          Bytes.unsafe_set active (phys packed b) '\000')
+        obligations;
+      if satisfied packed then
+        ({ state with executed = true; via = -1 }, execution_cost packed)
+        :: !swaps
+      else !swaps
     end
   in
   let heuristic state =
@@ -280,24 +359,32 @@ let layer_search cost ~max_additional_hops ~max_expansions ~lookahead
       List.fold_left
         (fun acc { operands = a, b; _ } ->
           acc
-          +. Cost.entangle_cost cost
-               (Layout.physical_of_program state.layout a)
-               (Layout.physical_of_program state.layout b))
+          +. Cost.entangle_cost cost (phys state.packed a)
+               (phys state.packed b))
         0.0 obligations
   in
   let problem =
     {
-      Astar.start = { layout; swap_count = 0; executed = false };
+      Astar.start =
+        { packed = start; swap_count = 0; executed = false; via = -1 };
       is_goal = (fun state -> state.executed);
       successors;
       heuristic;
       key =
         (fun state ->
-          if state.executed then "X" ^ Layout.key state.layout
-          else Layout.key state.layout);
+          if state.executed then "X" ^ state.packed else state.packed);
     }
   in
-  Astar.search_path ~max_expansions problem
+  match Astar.search_path ~max_expansions problem with
+  | None -> None
+  | Some (states, _, expanded) ->
+    (* the swaps along the path, in order; the execute step records none *)
+    let swaps =
+      List.filter_map
+        (fun state -> if state.via < 0 then None else Some couplers.(state.via))
+        states
+    in
+    Some (swaps, expanded)
 
 (* ---- layer-search memo ---------------------------------------------
 
@@ -404,24 +491,9 @@ let route ?max_additional_hops ?(max_expansions = 100_000)
       layer_search cost ~max_additional_hops ~max_expansions ~lookahead
         ~next_pairs ctx.layout obligations
     with
-    | Some (states, _, expanded) ->
+    | Some (swaps, expanded) ->
       expansions := !expansions + expanded;
-      let rec replay acc = function
-        | a :: (b :: _ as rest) ->
-          let acc =
-            if Layout.equal a.layout b.layout then acc
-            else begin
-              match Layout.diff_swap a.layout b.layout with
-              | Some (u, v) ->
-                emit_swap ctx u v;
-                (u, v) :: acc
-              | None -> invalid_arg "Router: non-swap A* transition"
-            end
-          in
-          replay acc rest
-        | [ _ ] | [] -> List.rev acc
-      in
-      let swaps = replay [] states in
+      List.iter (fun (u, v) -> emit_swap ctx u v) swaps;
       { found = true; memo_swaps = swaps; memo_expanded = expanded }
     | None -> { found = false; memo_swaps = []; memo_expanded = 0 }
   in
@@ -453,7 +525,7 @@ let route ?max_additional_hops ?(max_expansions = 100_000)
   let emit_cnot control target =
     let u = Layout.physical_of_program ctx.layout control in
     let v = Layout.physical_of_program ctx.layout target in
-    if Device.connected device u v then
+    if Cost.coupled cost u v then
       emit ctx (Gate.Cnot { control = u; target = v })
     else begin
       match bridge_middle cost u v with

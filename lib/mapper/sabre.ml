@@ -26,8 +26,8 @@ let route ?(lookahead_size = 20) ?(lookahead_weight = 0.5) ?(decay = 0.001)
   let executable gate =
     match gate with
     | Gate.Cnot { control; target } ->
-      Device.connected device (physical control) (physical target)
-    | Gate.Swap (a, b) -> Device.connected device (physical a) (physical b)
+      Cost.coupled cost (physical control) (physical target)
+    | Gate.Swap (a, b) -> Cost.coupled cost (physical a) (physical b)
     | Gate.One_qubit _ | Gate.Measure _ | Gate.Barrier _ -> true
   in
   (* front layer as a mutable set of gate indices *)
@@ -124,17 +124,30 @@ let route ?(lookahead_size = 20) ?(lookahead_weight = 0.5) ?(decay = 0.001)
     in
     mean stuck_pairs stuck_count +. (lookahead_weight *. mean ext_pairs ext_count)
   in
+  (* the couplers touching a stuck gate's qubit, in coupling order: the
+     first of equal scores wins, so the order is part of the output *)
+  let couplers = Cost.couplers cost in
+  let active = Bytes.make (Layout.physicals layout) '\000' in
   let candidate_swaps stuck =
-    let active = Hashtbl.create 16 in
-    List.iter
-      (fun i ->
-        List.iter
-          (fun q -> Hashtbl.replace active (physical q) ())
-          (Gate.qubits (gate_at i)))
-      stuck;
-    List.filter
-      (fun (u, v) -> Hashtbl.mem active u || Hashtbl.mem active v)
-      (Device.coupling device)
+    let mark value =
+      List.iter
+        (fun i ->
+          List.iter
+            (fun q -> Bytes.set active (physical q) value)
+            (Gate.qubits (gate_at i)))
+        stuck
+    in
+    mark '\001';
+    let candidates =
+      Array.fold_right
+        (fun ((u, v) as coupler) acc ->
+          if Bytes.get active u = '\001' || Bytes.get active v = '\001' then
+            coupler :: acc
+          else acc)
+        couplers []
+    in
+    mark '\000';
+    candidates
   in
   let steps_bound = (count * 32) + 1024 in
   let steps = ref 0 in

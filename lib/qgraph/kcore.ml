@@ -68,39 +68,103 @@ let internal_strength g nodes =
     (fun u v w acc -> if inside.(u) && inside.(v) then acc +. w else acc)
     g 0.0
 
-(* Grow a connected set from [seed], always adding the frontier node that
-   gains the most internal strength (ties broken by full-graph strength). *)
-let grow_from g size seed =
+(* The region search reads the graph through arrays built once per call:
+   neighbour ids and weights in [Graph.neighbors] order, each node's
+   [Graph.node_strength], and the edges in [Graph.fold_edges] order.
+   Every float sum below adds the same values in the same order as
+   [aggregate_strength], [internal_strength] and the gain of a list
+   walk over [Graph.neighbors], so the sums are bit-identical. *)
+type view = {
+  ids : int array array;
+  weights : float array array;
+  strength : float array;
+  edge_u : int array;
+  edge_v : int array;
+  edge_w : float array;
+}
+
+let view g =
   let n = Graph.node_count g in
-  let inside = Array.make n false in
+  let neighbors = Array.init n (Graph.neighbors g) in
+  let m = Graph.edge_count g in
+  let edge_u = Array.make m 0 in
+  let edge_v = Array.make m 0 in
+  let edge_w = Array.make m 0.0 in
+  let next = ref 0 in
+  Graph.iter_edges
+    (fun u v w ->
+      edge_u.(!next) <- u;
+      edge_v.(!next) <- v;
+      edge_w.(!next) <- w;
+      incr next)
+    g;
+  {
+    ids = Array.map (fun l -> Array.of_list (List.map fst l)) neighbors;
+    weights = Array.map (fun l -> Array.of_list (List.map snd l)) neighbors;
+    strength = Array.init n (Graph.node_strength g);
+    edge_u;
+    edge_v;
+    edge_w;
+  }
+
+(* Grow a connected set from [seed], always adding the frontier node that
+   gains the most internal strength (ties broken by full-graph strength).
+   Candidates are scanned newest chosen node first, each node's
+   neighbours in increasing order; a candidate replaces the best so far
+   only when its (gain, strength) is strictly greater — the first one
+   seen wins a tie.  The comparison is written so that it agrees with the
+   polymorphic [>=] on the pair, NaNs included.  Fills
+   [chosen.(0 .. count-1)], marks them in [inside] (the caller clears
+   both) and returns [count], which is [size] unless the seed's component
+   is smaller. *)
+let grow v ~inside ~chosen size seed =
   inside.(seed) <- true;
-  let chosen = ref [ seed ] in
-  let gain v =
-    List.fold_left
-      (fun acc (u, w) -> if inside.(u) then acc +. w else acc)
-      0.0 (Graph.neighbors g v)
-  in
-  let exception No_candidate in
-  try
-    for _ = 2 to size do
-      let best = ref None in
-      let consider v =
-        if not inside.(v) then begin
-          let key = (gain v, Graph.node_strength g v) in
-          match !best with
-          | Some (best_key, _) when best_key >= key -> ()
-          | _ -> best := Some (key, v)
+  chosen.(0) <- seed;
+  let count = ref 1 in
+  let stuck = ref false in
+  while !count < size && not !stuck do
+    let best = ref (-1) in
+    let best_gain = ref 0.0 in
+    let best_strength = ref 0.0 in
+    for c = !count - 1 downto 0 do
+      let around = v.ids.(chosen.(c)) in
+      for j = 0 to Array.length around - 1 do
+        let candidate = around.(j) in
+        if not inside.(candidate) then begin
+          let ids = v.ids.(candidate) and weights = v.weights.(candidate) in
+          let gain = ref 0.0 in
+          for i = 0 to Array.length ids - 1 do
+            if inside.(ids.(i)) then gain := !gain +. weights.(i)
+          done;
+          let strength = v.strength.(candidate) in
+          if
+            !best < 0
+            || not
+                 (!best_gain > !gain
+                 || (!best_gain = !gain && !best_strength >= strength))
+          then begin
+            best := candidate;
+            best_gain := !gain;
+            best_strength := strength
+          end
         end
-      in
-      List.iter (fun u -> List.iter consider (Graph.neighbor_ids g u)) !chosen;
-      match !best with
-      | None -> raise No_candidate
-      | Some (_, v) ->
-        inside.(v) <- true;
-        chosen := v :: !chosen
+      done
     done;
-    Some (List.sort compare !chosen)
-  with No_candidate -> None
+    if !best < 0 then stuck := true
+    else begin
+      inside.(!best) <- true;
+      chosen.(!count) <- !best;
+      incr count
+    end
+  done;
+  !count
+
+let sorted_members inside =
+  let nodes = ref [] in
+  for u = Array.length inside - 1 downto 0 do
+    if inside.(u) then nodes := u :: !nodes
+  done;
+  !nodes
 
 let grow_subgraph g ~size ~seed =
   let n = Graph.node_count g in
@@ -109,24 +173,51 @@ let grow_subgraph g ~size ~seed =
       (Printf.sprintf "Kcore.grow_subgraph: size %d not in [1, %d]" size n);
   if seed < 0 || seed >= n then
     invalid_arg (Printf.sprintf "Kcore.grow_subgraph: seed %d out of range" seed);
-  grow_from g size seed
+  let inside = Array.make n false in
+  if grow (view g) ~inside ~chosen:(Array.make size 0) size seed = size then
+    Some (sorted_members inside)
+  else None
 
 let strongest_subgraph g ~size =
   let n = Graph.node_count g in
   if size < 1 || size > n then
     invalid_arg
       (Printf.sprintf "Kcore.strongest_subgraph: size %d not in [1, %d]" size n);
-  let best = ref None in
+  let v = view g in
+  let inside = Array.make n false in
+  let chosen = Array.make size 0 in
+  let best_inside = Array.make n false in
+  let found = ref false in
+  let best_internal = ref 0.0 in
+  let best_aggregate = ref 0.0 in
   for seed = 0 to n - 1 do
-    match grow_from g size seed with
-    | None -> ()
-    | Some nodes ->
-      let key = (internal_strength g nodes, aggregate_strength g nodes) in
-      (match !best with
-      | Some (best_key, _) when best_key >= key -> ()
-      | _ -> best := Some (key, nodes))
+    let count = grow v ~inside ~chosen size seed in
+    if count = size then begin
+      let internal = ref 0.0 in
+      for e = 0 to Array.length v.edge_u - 1 do
+        if inside.(v.edge_u.(e)) && inside.(v.edge_v.(e)) then
+          internal := !internal +. v.edge_w.(e)
+      done;
+      (* ANS over the region in increasing node order *)
+      let aggregate = ref 0.0 in
+      for u = 0 to n - 1 do
+        if inside.(u) then aggregate := !aggregate +. v.strength.(u)
+      done;
+      if
+        (not !found)
+        || not
+             (!best_internal > !internal
+             || (!best_internal = !internal && !best_aggregate >= !aggregate))
+      then begin
+        found := true;
+        best_internal := !internal;
+        best_aggregate := !aggregate;
+        Array.blit inside 0 best_inside 0 n
+      end
+    end;
+    for i = 0 to count - 1 do
+      inside.(chosen.(i)) <- false
+    done
   done;
-  match !best with
-  | Some (_, nodes) -> nodes
-  | None ->
-    invalid_arg "Kcore.strongest_subgraph: no connected subset of that size"
+  if !found then sorted_members best_inside
+  else invalid_arg "Kcore.strongest_subgraph: no connected subset of that size"

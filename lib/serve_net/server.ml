@@ -42,7 +42,7 @@ type t = {
   stopping : bool Atomic.t;
   active : int Atomic.t;
   registry : registry;
-  mutable accept_domain : unit Domain.t option;
+  mutable accept_thread : Thread.t option;
   connections_total : Metrics.counter;
   rejected_total : Metrics.counter;
   sessions_gauge : Metrics.gauge;
@@ -194,16 +194,22 @@ let start ?(config = default_config) epoch =
       active = Atomic.make 0;
       registry =
         { reg_lock = Mutex.create (); live = []; done_ids = [] };
-      accept_domain = None;
+      accept_thread = None;
       connections_total = Metrics.counter "serve.net.connections";
       rejected_total = Metrics.counter "serve.net.rejected";
       sessions_gauge = Metrics.gauge "serve.net.sessions";
     }
   in
-  t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
+  (* The accept loop is a systhread of the calling domain, not a domain
+     of its own.  Under OCaml 5 every minor collection stops every
+     domain, idle ones included, so an accept domain parked in [accept]
+     would still be woken for each collection of every session; a
+     thread blocked in [accept] has released its domain's lock and
+     costs the collections nothing. *)
+  t.accept_thread <- Some (Thread.create accept_loop t);
   t
 
-let wait t = Option.iter Domain.join t.accept_domain
+let wait t = Option.iter Thread.join t.accept_thread
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
@@ -215,10 +221,10 @@ let stop t =
           (Unix.ADDR_INET (Unix.inet_addr_loopback, t.server_port))
       with Unix.Unix_error _ -> ());
      try Unix.close wake with Unix.Unix_error _ -> ());
-    (match t.accept_domain with
-    | Some domain ->
-      Domain.join domain;
-      t.accept_domain <- None
+    (match t.accept_thread with
+    | Some thread ->
+      Thread.join thread;
+      t.accept_thread <- None
     | None -> ());
     (try Unix.close t.listener with Unix.Unix_error _ -> ());
     (* sessions end when their clients hang up; wait for the stragglers *)

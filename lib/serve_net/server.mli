@@ -45,7 +45,9 @@ val default_config : config
 type t
 
 val start : ?config:config -> Vqc_service.Epoch.t -> t
-(** Bind, listen and start accepting on a background domain.  The
+(** Bind, listen and start accepting on a background systhread of the
+    calling domain (a domain would be stopped and woken by every minor
+    collection of every session while it waits in [accept]).  The
     given epoch rotation is the boot state every session forks from.
     Ignores [SIGPIPE] process-wide (a vanished client must not kill
     the server).

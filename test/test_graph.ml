@@ -485,6 +485,89 @@ let test_grow_subgraph () =
   check "too small component" true
     (Kcore.grow_subgraph disconnected ~size:3 ~seed:0 = None)
 
+(* The array region search against the list-based search it replaced
+   ([Kcore_oracle]).  Weights come from a small set whose sums round
+   differently in different orders (0.1 + 0.2 + 0.3 <> 0.3 + 0.2 + 0.1),
+   so both the summation order and the tie-breaking are exercised; one
+   node in eight is left off the spanning tree, so disconnected graphs
+   (and seeds whose component is too small) occur too. *)
+let tied_weights = [| 0.1; 0.2; 0.3; 0.6; 0.7; 1.0 |]
+
+let random_tied_graph =
+  QCheck2.Gen.(
+    let* n = int_range 1 14 in
+    let* tree =
+      flatten_l
+        (List.init (n - 1) (fun i ->
+             let* parent = int_bound i in
+             let* keep = int_bound 7 in
+             let* w = oneofa tied_weights in
+             return (if keep = 0 then None else Some (parent, i + 1, w))))
+    in
+    let* extra =
+      list_size (int_bound (2 * n))
+        (triple (int_bound (n - 1)) (int_bound (n - 1)) (oneofa tied_weights))
+    in
+    let edges =
+      List.filter_map Fun.id tree
+      @ List.filter_map
+          (fun (u, v, w) -> if u = v then None else Some (min u v, max u v, w))
+          extra
+    in
+    return (Graph.of_edges n edges))
+
+let outcome f =
+  match f () with r -> Ok r | exception Invalid_argument m -> Error m
+
+let prop_region_search_matches_oracle =
+  QCheck2.Test.make ~name:"region search matches the list oracle" ~count:400
+    random_tied_graph (fun g ->
+      let n = Graph.node_count g in
+      List.for_all
+        (fun size ->
+          outcome (fun () -> Kcore.strongest_subgraph g ~size)
+          = outcome (fun () -> Kcore_oracle.strongest_subgraph g ~size)
+          && List.for_all
+               (fun seed ->
+                 Kcore.grow_subgraph g ~size ~seed
+                 = Kcore_oracle.grow_from g size seed)
+               (List.init n Fun.id))
+        (List.init n (fun i -> i + 1)))
+
+(* The same wall on the graphs VQA really searches: every day of the
+   seed-2 Q20 history, every region size, with and without the readout
+   discount (built as [Allocation.allocate] builds it). *)
+let test_region_search_matches_oracle_on_q20 () =
+  let module Device = Vqc_device.Device in
+  let module Calibration = Vqc_device.Calibration in
+  let coupling = Vqc_device.Topologies.ibm_q20_tokyo in
+  let history = Vqc_device.History.generate ~seed:2 ~coupling 20 in
+  let cases = ref 0 in
+  List.iter
+    (fun calibration ->
+      let device = Device.make ~name:"Q20" ~coupling calibration in
+      let success = Device.success_graph device in
+      let survival q =
+        1.0 -. (Calibration.qubit calibration q).Calibration.error_readout
+      in
+      let readout =
+        Graph.map_weights
+          (fun u v w -> w *. sqrt (survival u *. survival v))
+          success
+      in
+      List.iter
+        (fun g ->
+          for size = 1 to 20 do
+            incr cases;
+            Alcotest.(check (list int))
+              (Printf.sprintf "case %d, size %d" !cases size)
+              (Kcore_oracle.strongest_subgraph g ~size)
+              (Kcore.strongest_subgraph g ~size)
+          done)
+        [ success; readout ])
+    (Vqc_device.History.all history);
+  check_int "52 days x 20 sizes x 2 graphs" 2080 !cases
+
 (* ---- Astar --------------------------------------------------------- *)
 
 (* Sliding puzzle on a line: move a token from 0 to [goal] paying 1 per
@@ -590,8 +673,14 @@ let () =
           Alcotest.test_case "strongest side" `Quick
             test_strongest_subgraph_picks_strong_side;
           Alcotest.test_case "grow subgraph" `Quick test_grow_subgraph;
+          Alcotest.test_case "region search matches the oracle on Q20" `Quick
+            test_region_search_matches_oracle_on_q20;
         ]
-        @ qcheck [ test_strongest_subgraph_connected ] );
+        @ qcheck
+            [
+              test_strongest_subgraph_connected;
+              prop_region_search_matches_oracle;
+            ] );
       ( "astar",
         [
           Alcotest.test_case "line search" `Quick test_astar_line;

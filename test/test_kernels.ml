@@ -306,6 +306,47 @@ let test_adaptive_full_budget_matches_fixed () =
         adaptive.Estimator.successes)
     [ Monte_carlo.Flat; Monte_carlo.Reference ]
 
+(* ---- cold compile allocation ----------------------------------------
+
+   Every compile under a fresh calibration is cold: new cost tables, an
+   empty layer memo.  servebench's [miss] workload is that regime (W =
+   17 circuits x 7 policies, recompiled per epoch), and its throughput
+   is bound by the minor collections a compile causes.  Before the
+   region search and the A* states were made allocation-lean, W's 119
+   cold compiles on the seed-2 day-0 Q20 allocated 38.0M minor words;
+   the bound is half of that. *)
+
+let w_circuits =
+  [
+    "alu"; "bv-16"; "bv-20"; "qft-12"; "qft-14"; "bv-3"; "bv-4"; "TriSwap";
+    "GHZ-3"; "alu-10"; "bv-10"; "qft-10"; "dj-8"; "grover-2"; "grover-3";
+    "w-6"; "qaoa-12";
+  ]
+
+let test_cold_compiles_allocate_half () =
+  let coupling = Vqc_device.Topologies.ibm_q20_tokyo in
+  let day0 =
+    Vqc_device.History.day (Vqc_device.History.generate ~seed:2 ~coupling 20) 0
+  in
+  let device = Vqc_device.Device.make ~name:"Q20" ~coupling day0 in
+  let programs =
+    List.map (fun name -> (Catalog.find name).Catalog.circuit) w_circuits
+  in
+  Vqc_mapper.Router.memo_clear ();
+  let words0 = Gc.minor_words () in
+  List.iter
+    (fun program ->
+      List.iter
+        (fun { Policies.policy; _ } ->
+          ignore (Compiler.compile device policy program))
+        Policies.all)
+    programs;
+  let words = Gc.minor_words () -. words0 in
+  check
+    (Printf.sprintf "%.1fM minor words for 119 cold compiles <= 19.0M"
+       (words /. 1e6))
+    true (words <= 19.0e6)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -332,6 +373,11 @@ let () =
             test_adaptive_full_budget_matches_fixed;
         ]
         @ qcheck [ prop_engines_agree_on_random_circuits ] );
+      ( "cold compile",
+        [
+          Alcotest.test_case "W allocates at most half the list searches' words"
+            `Quick test_cold_compiles_allocate_half;
+        ] );
       ( "chunk arithmetic",
         [
           Alcotest.test_case "chunks_for" `Quick test_chunks_for;

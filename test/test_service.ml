@@ -875,6 +875,57 @@ let test_service_trial_ceiling () =
                4611686018427387903)" );
         ])
 
+(* A program with no qubits compiles to the empty plan under every
+   policy, the VQA ones included (their region search once refused a
+   size-0 region): the responses differ in nothing but the label. *)
+let test_service_empty_program_every_policy () =
+  Service.with_service (q5_epochs ()) (fun service ->
+      List.iter
+        (fun label ->
+          match
+            Service.submit service
+              {
+                Protocol.id = Some (Json.Int 1);
+                source = Protocol.Inline_qasm "OPENQASM 2.0;\n";
+                policy = label;
+                epoch = None;
+                estimate = None;
+              }
+          with
+          | Ok () -> ()
+          | Error _ -> Alcotest.fail "unexpected rejection")
+        (Policies.names ());
+      let lines = deterministic_lines (Service.flush service) in
+      check_int "one response per policy" (List.length Policies.all)
+        (List.length lines);
+      let find_sub needle line =
+        let n = String.length needle in
+        let rec go i =
+          if i + n > String.length line then None
+          else if String.sub line i n = needle then Some i
+          else go (i + 1)
+        in
+        go 0
+      in
+      let unlabeled =
+        List.map2
+          (fun label line ->
+            let field = Printf.sprintf "\"policy\":%S," label in
+            match find_sub field line with
+            | Some at ->
+              String.sub line 0 at
+              ^ String.sub line (at + String.length field)
+                  (String.length line - at - String.length field)
+            | None -> Alcotest.failf "%s: no policy field in %s" label line)
+          (Policies.names ()) lines
+      in
+      List.iter
+        (check_string "same response as the baseline's" (List.hd unlabeled))
+        unlabeled;
+      check "compiled to the empty layout" true
+        (find_sub "\"status\":\"ok\"" (List.hd lines) <> None
+        && find_sub "\"qubits\":0,\"layout\":[]," (List.hd lines) <> None))
+
 (* ---- runner -------------------------------------------------------- *)
 
 let () =
@@ -937,5 +988,7 @@ let () =
             test_service_trial_ceiling;
           Alcotest.test_case "huge register refused cheaply" `Quick
             test_service_huge_register_is_refused_cheaply;
+          Alcotest.test_case "empty program under every policy" `Quick
+            test_service_empty_program_every_policy;
         ] );
     ]
