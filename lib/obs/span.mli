@@ -1,6 +1,6 @@
 (** Lightweight nesting timers.
 
-    [with_span ~source name f] pushes [name] onto the current domain's
+    [with_span ~source name f] pushes [name] onto the calling thread's
     span stack, runs [f], and on the way out (normal return {e or}
     exception) pops the stack, records the wall-clock duration into the
     [span.<name>] histogram, and emits a {!Trace} event whose
@@ -8,8 +8,10 @@
     (outermost/innermost, ["/"]-joined), an [ok] flag, plus any caller
     [fields]; the duration lives under ["nd"].
 
-    Span stacks are per-domain ({!Domain.DLS}), so spans opened inside
-    pool workers nest within that worker's call tree only. *)
+    Span stacks are per systhread, so spans opened inside pool workers
+    nest within that worker's call tree only, and two sessions sharing
+    a domain keep their own paths even when one blocks inside a span
+    and the other runs. *)
 
 val with_span :
   ?fields:Trace.field list -> source:string -> string -> (unit -> 'a) -> 'a
@@ -17,4 +19,4 @@ val with_span :
     closed — the span stack is always restored. *)
 
 val stack : unit -> string list
-(** Names of the open spans on the calling domain, innermost first. *)
+(** Names of the open spans on the calling thread, innermost first. *)

@@ -22,14 +22,24 @@ let default_config =
     store_capacity = 1024;
   }
 
-(* Session domains are tracked so they can be reaped (joined) as they
-   finish — the runtime caps live domains, so a long-lived server must
-   recycle the slots of departed clients. *)
-type registry = {
-  reg_lock : Mutex.t;
-  mutable live : (Domain.id * unit Domain.t) list;
-      (** guarded by reg_lock *)
-  mutable done_ids : Domain.id list;  (** guarded by reg_lock *)
+(* A host is a domain that runs session systhreads.  Host 0 is the
+   domain that called [start]: the accept thread, its neighbour there,
+   creates host 0's sessions directly.  Only code running on a domain
+   can create a thread there, so a spare host (a spawned domain) runs a
+   dispatcher thread that turns the descriptors handed to its mailbox
+   into sessions.  A spare exits as soon as it holds no session and its
+   mailbox is empty: under OCaml 5 every minor collection stops every
+   domain, an idle one included.  Hand-over and retirement are both
+   decided under the host's lock, so a descriptor is never handed to a
+   host that is exiting. *)
+type host = {
+  lock : Mutex.t;
+  changed : Condition.t;  (** a descriptor arrived or a session ended *)
+  mutable sessions : int;
+      (** guarded by lock: sessions running here or waiting in the
+          mailbox *)
+  mailbox : Unix.file_descr Queue.t;  (** guarded by lock *)
+  mutable retired : bool;  (** guarded by lock *)
 }
 
 type t = {
@@ -41,45 +51,41 @@ type t = {
   store : Service.store;
   stopping : bool Atomic.t;
   active : int Atomic.t;
-  registry : registry;
+  start_host : host;  (** host 0 *)
+  spares : (host * unit Domain.t) option array;
+      (** hosts 1 .. [Domain.recommended_domain_count () - 1]; read and
+          written only by the accept thread, and by [stop] once that
+          thread has been joined *)
+  spares_live : int Atomic.t;  (** spawned spares not yet retired *)
   mutable accept_thread : Thread.t option;
   connections_total : Metrics.counter;
   rejected_total : Metrics.counter;
   sessions_gauge : Metrics.gauge;
+  hosts_gauge : Metrics.gauge;
 }
 
 let port t = t.server_port
 
-let locked_registry registry f =
-  Mutex.lock registry.reg_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry.reg_lock) f
+let new_host () =
+  {
+    lock = Mutex.create ();
+    changed = Condition.create ();
+    sessions = 0;
+    mailbox = Queue.create ();
+    retired = false;
+  }
 
-let register t domain =
-  locked_registry t.registry (fun () ->
-      t.registry.live <- (Domain.get_id domain, domain) :: t.registry.live)
-
-let mark_done t id =
-  locked_registry t.registry (fun () ->
-      t.registry.done_ids <- id :: t.registry.done_ids)
-
-(* Join every session domain that has announced completion.  Runs on
-   the accept path (before each spawn) and in [stop]. *)
-let reap t =
-  let finished =
-    locked_registry t.registry (fun () ->
-        let finished, live =
-          List.partition
-            (fun (id, _) -> List.mem id t.registry.done_ids)
-            t.registry.live
-        in
-        t.registry.live <- live;
-        t.registry.done_ids <-
-          List.filter
-            (fun id -> not (List.mem_assoc id finished))
-            t.registry.done_ids;
-        finished)
+(* Move [counter] by [delta] and publish it on [gauge].  Two racing
+   updates may set the gauge out of order; whoever sets it re-reads the
+   counter afterwards, so the last value set is the counter's. *)
+let publish gauge counter delta =
+  ignore (Atomic.fetch_and_add counter delta);
+  let rec set () =
+    let value = Atomic.get counter in
+    Metrics.set gauge (float_of_int value);
+    if Atomic.get counter <> value then set ()
   in
-  List.iter (fun (_, domain) -> Domain.join domain) finished
+  set ()
 
 (* A refused connection still gets one well-formed response line — the
    same "rejected" shape the admission queue uses, with the VQC131
@@ -102,7 +108,15 @@ let reject_connection t fd =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let run_session t fd =
+(* The last step of every session, run or shed: once [sessions] drops,
+   a spare may retire, and [stop] may stop waiting for host 0. *)
+let leave t host =
+  publish t.sessions_gauge t.active (-1);
+  Mutex.protect host.lock (fun () ->
+      host.sessions <- host.sessions - 1;
+      if host.sessions = 0 then Condition.broadcast host.changed)
+
+let run_session t host fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
@@ -112,9 +126,7 @@ let run_session t fd =
          too would close the number a second time, and by then it may
          belong to a connection accepted meanwhile. *)
       close_out_noerr oc;
-      Atomic.decr t.active;
-      Metrics.set t.sessions_gauge (float_of_int (Atomic.get t.active));
-      mark_done t (Domain.self ()))
+      leave t host)
     (fun () ->
       (* each session is a full service of its own — private plan
          cache, private admission queue, private epoch cursor — over
@@ -126,17 +138,114 @@ let run_session t fd =
       in
       ignore (Session.run ~config:t.server_config.session service ic oc))
 
-let spawn_session t fd =
-  Metrics.incr t.connections_total;
-  Atomic.incr t.active;
-  Metrics.set t.sessions_gauge (float_of_int (Atomic.get t.active));
-  match Domain.spawn (fun () -> run_session t fd) with
-  | domain -> register t domain
+(* A session thread on the calling domain.  Without a thread to run it,
+   the connection is shed like a [clients_max] overflow. *)
+let start_session t host fd =
+  match Thread.create (run_session t host) fd with
+  | (_ : Thread.t) -> ()
+  | exception Sys_error _ ->
+    reject_connection t fd;
+    leave t host
+
+(* A spare host's dispatcher: it runs on the spare's domain, starts a
+   session thread for each descriptor in the mailbox, and ends the
+   domain once the host has no session left.  The runtime joins the
+   domain's remaining threads, each past its [leave], before
+   [Domain.join] returns. *)
+let rec dispatch t host =
+  let next =
+    Mutex.protect host.lock (fun () ->
+        while Queue.is_empty host.mailbox && host.sessions > 0 do
+          Condition.wait host.changed host.lock
+        done;
+        match Queue.take_opt host.mailbox with
+        | Some fd -> Some fd
+        | None ->
+          host.retired <- true;
+          None)
+  in
+  match next with
+  | Some fd ->
+    start_session t host fd;
+    dispatch t host
+  | None -> publish t.hosts_gauge t.spares_live (-1)
+
+(* Give [fd] to [host]; false when the host is a spare that has already
+   retired. *)
+let hand_over t host fd =
+  if host == t.start_host then begin
+    Mutex.protect host.lock (fun () -> host.sessions <- host.sessions + 1);
+    start_session t host fd;
+    true
+  end
+  else
+    Mutex.protect host.lock (fun () ->
+        if host.retired then false
+        else begin
+          Queue.push fd host.mailbox;
+          host.sessions <- host.sessions + 1;
+          Condition.broadcast host.changed;
+          true
+        end)
+
+(* Spawn a spare host in free slot [slot] with [fd] already in its
+   mailbox; false when the runtime refuses another domain. *)
+let spawn_spare t slot fd =
+  let host = new_host () in
+  Queue.push fd host.mailbox;
+  host.sessions <- 1;
+  publish t.hosts_gauge t.spares_live 1;
+  match Domain.spawn (fun () -> dispatch t host) with
+  | domain ->
+    t.spares.(slot) <- Some (host, domain);
+    true
   | exception Failure _ ->
-    (* domain limit: shed the connection like a clients_max overflow *)
-    Atomic.decr t.active;
-    Metrics.set t.sessions_gauge (float_of_int (Atomic.get t.active));
-    reject_connection t fd
+    publish t.hosts_gauge t.spares_live (-1);
+    false
+
+(* Join the spares that have retired and free their slots.  Runs on the
+   accept path (before each placement) and in [stop]. *)
+let join_retired t =
+  Array.iteri
+    (fun slot entry ->
+      match entry with
+      | Some (host, domain)
+        when Mutex.protect host.lock (fun () -> host.retired) ->
+        Domain.join domain;
+        t.spares.(slot) <- None
+      | _ -> ())
+    t.spares
+
+(* Placement: the first host with no session, host 0 first; else a new
+   spare while the table has a free slot; else the host with the fewest
+   sessions, lowest index on ties.  A spare that retires between the
+   count and the hand-over refuses the descriptor, and placement starts
+   over without it.  Host 0 never refuses, so this ends. *)
+let rec place t fd =
+  join_retired t;
+  let counted =
+    List.map
+      (fun host ->
+        (host, Mutex.protect host.lock (fun () -> host.sessions)))
+      (t.start_host
+      :: List.filter_map (Option.map fst) (Array.to_list t.spares))
+  in
+  let fewest () =
+    List.fold_left
+      (fun (best, least) (host, n) ->
+        if n < least then (host, n) else (best, least))
+      (List.hd counted) (List.tl counted)
+    |> fst
+  in
+  let placed =
+    match List.find_opt (fun (_, n) -> n = 0) counted with
+    | Some (host, _) -> hand_over t host fd
+    | None -> (
+      match Array.find_index Option.is_none t.spares with
+      | Some slot when spawn_spare t slot fd -> true
+      | _ -> hand_over t (fewest ()) fd)
+  in
+  if not placed then place t fd
 
 let rec accept_loop t =
   match Unix.accept t.listener with
@@ -148,10 +257,13 @@ let rec accept_loop t =
       try Unix.close fd with Unix.Unix_error _ -> ()
     end
     else begin
-      reap t;
       if Atomic.get t.active >= t.server_config.clients_max then
         reject_connection t fd
-      else spawn_session t fd;
+      else begin
+        Metrics.incr t.connections_total;
+        publish t.sessions_gauge t.active 1;
+        place t fd
+      end;
       accept_loop t
     end
 
@@ -192,16 +304,18 @@ let start ?(config = default_config) epoch =
       store = Service.shared_store ~capacity:config.store_capacity ();
       stopping = Atomic.make false;
       active = Atomic.make 0;
-      registry =
-        { reg_lock = Mutex.create (); live = []; done_ids = [] };
+      start_host = new_host ();
+      spares = Array.make (Domain.recommended_domain_count () - 1) None;
+      spares_live = Atomic.make 0;
       accept_thread = None;
       connections_total = Metrics.counter "serve.net.connections";
       rejected_total = Metrics.counter "serve.net.rejected";
       sessions_gauge = Metrics.gauge "serve.net.sessions";
+      hosts_gauge = Metrics.gauge "serve.net.hosts";
     }
   in
-  (* The accept loop is a systhread of the calling domain, not a domain
-     of its own.  Under OCaml 5 every minor collection stops every
+  (* The accept loop is a systhread of host 0, the calling domain, not a
+     domain of its own.  Under OCaml 5 every minor collection stops every
      domain, idle ones included, so an accept domain parked in [accept]
      would still be woken for each collection of every session; a
      thread blocked in [accept] has released its domain's lock and
@@ -227,14 +341,18 @@ let stop t =
       t.accept_thread <- None
     | None -> ());
     (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (* sessions end when their clients hang up; wait for the stragglers *)
-    let live =
-      locked_registry t.registry (fun () ->
-          let live = t.registry.live in
-          t.registry.live <- [];
-          t.registry.done_ids <- [];
-          live)
-    in
-    List.iter (fun (_, domain) -> Domain.join domain) live;
+    (* sessions end when their clients hang up; wait for the stragglers:
+       host 0's by its count, each spare's by joining its domain, which
+       ends with its last session *)
+    let host = t.start_host in
+    Mutex.protect host.lock (fun () ->
+        while host.sessions > 0 do
+          Condition.wait host.changed host.lock
+        done);
+    Array.iteri
+      (fun slot entry ->
+        Option.iter (fun (_, domain) -> Domain.join domain) entry;
+        t.spares.(slot) <- None)
+      t.spares;
     Pool.shutdown t.pool
   end

@@ -1,7 +1,7 @@
 (** Multi-client TCP front end for the compilation service.
 
-    One listener on loopback, one OCaml domain per accepted client,
-    each running the stdin-identical {!Session} loop over its own
+    One listener on loopback, one systhread per accepted client, each
+    running the stdin-identical {!Session} loop over its own
     {!Vqc_service.Service} — private plan cache, private admission
     queue, private epoch cursor ({!Vqc_service.Epoch.fork}) — while
     sharing two correctness-neutral resources across sessions: the
@@ -9,6 +9,15 @@
     content-addressed compile store (see
     {!Vqc_service.Service.shared_store}) that turns one client's
     compile into every client's warm hit.
+
+    Session threads run on at most [Domain.recommended_domain_count ()]
+    host domains.  Host 0 is the domain that called {!start}; a new
+    session goes to the first host with no session, host 0 first, else
+    to a newly spawned spare host while there are fewer hosts than the
+    recommended count, else to the host with the fewest sessions.  A
+    spare host exits when its last session ends: under OCaml 5 every
+    minor collection stops every domain, idle ones included.  A session
+    never moves between hosts.
 
     Isolation model: anything that could make one client's response
     bytes depend on another client's traffic is per-session; anything
@@ -24,13 +33,15 @@
     per-request admission rejection inside a session.
 
     Metrics: [serve.net.connections], [serve.net.rejected],
-    [serve.net.sessions] (live-session gauge); per-session service
+    [serve.net.sessions] (live-session gauge), [serve.net.hosts]
+    (spawned spare hosts not yet retired); per-session service
     traffic lands under [service.*], the shared store under
     [serve.store.*]. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port; see {!port} *)
-  clients_max : int;  (** concurrent-session cap (>= 1) *)
+  clients_max : int;
+      (** concurrent-session cap (>= 1); no other limit applies *)
   session : Session.config;
   service : Vqc_service.Service.config;
       (** per-session service configuration ([jobs] sizes the shared
@@ -48,7 +59,11 @@ val start : ?config:config -> Vqc_service.Epoch.t -> t
 (** Bind, listen and start accepting on a background systhread of the
     calling domain (a domain would be stopped and woken by every minor
     collection of every session while it waits in [accept]).  The
-    given epoch rotation is the boot state every session forks from.
+    calling domain is host 0: its sessions share it with the accept
+    thread and with whatever else the caller runs there, so a new
+    connection may wait for a running session to block or for the
+    runtime's 50 ms thread tick.  The given epoch rotation is the boot
+    state every session forks from.
     Ignores [SIGPIPE] process-wide (a vanished client must not kill
     the server).
     @raise Invalid_argument on a bad [clients_max] or [port]
@@ -63,5 +78,5 @@ val wait : t -> unit
 
 val stop : t -> unit
 (** Stop accepting, wait for the live sessions to finish (they end
-    when their clients hang up), and shut the worker pool down.
-    Idempotent. *)
+    when their clients hang up), join every spare host, and shut the
+    worker pool down.  Idempotent. *)

@@ -232,6 +232,52 @@ let test_span_events_reach_the_sink () =
       | None -> false)
     | None -> false)
 
+(* Two systhreads on one domain, each opening an outer and an inner
+   span and blocking inside both: the other thread runs in between, so
+   a stack shared by the domain would hand each thread the other's
+   spans.  [Unix.sleepf] rather than [Thread.yield], which does not
+   reliably switch threads under OCaml 5.1. *)
+let test_span_stacks_follow_the_thread () =
+  let rounds = 200 in
+  let wrong_stacks = Atomic.make 0 in
+  let run tag () =
+    let outer = tag ^ "-outer" and inner = tag ^ "-inner" in
+    for _ = 1 to rounds do
+      Span.with_span ~source:"test" outer (fun () ->
+          Unix.sleepf 0.0002;
+          if Span.stack () <> [ outer ] then Atomic.incr wrong_stacks;
+          Span.with_span ~source:"test" inner (fun () ->
+              Unix.sleepf 0.0002;
+              if Span.stack () <> [ inner; outer ] then
+                Atomic.incr wrong_stacks))
+    done
+  in
+  let captured = Buffer.create 65_536 in
+  Trace.with_sink (buffer_sink captured) (fun () ->
+      List.map (fun tag -> Thread.create (run tag) ()) [ "a"; "b" ]
+      |> List.iter Thread.join);
+  check_int "every stack reading is the thread's own" 0
+    (Atomic.get wrong_stacks);
+  let events =
+    Buffer.contents captured |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map parse_json
+  in
+  check_int "one event per span" (2 * 2 * rounds) (List.length events);
+  let wrong_paths =
+    List.filter
+      (fun event ->
+        match (Json_io.member "name" event, Json_io.member "path" event) with
+        | Some (Json.String name), Some (Json.String path) ->
+          let outer = String.sub name 0 1 ^ "-outer" in
+          let expected = if name = outer then outer else outer ^ "/" ^ name in
+          path <> expected
+        | _ -> true)
+      events
+  in
+  check_int "every span path is the thread's own" 0 (List.length wrong_paths);
+  check "stack empty after the threads" true (Span.stack () = [])
+
 (* ---- trace sink ----------------------------------------------------- *)
 
 let test_noop_mode_is_silent () =
@@ -347,6 +393,8 @@ let () =
           Alcotest.test_case "events reach the sink" `Quick
             test_span_events_reach_the_sink;
           QCheck_alcotest.to_alcotest prop_with_span_restores_stack_on_exception;
+          Alcotest.test_case "stacks follow the systhread" `Quick
+            test_span_stacks_follow_the_thread;
         ] );
       ( "trace",
         [

@@ -349,6 +349,66 @@ let test_server_full_rejection () =
             Alcotest.failf "expected exactly one rejection line, got %d"
               (List.length lines)))
 
+(* ---- hosts: systhreads on at most one domain per core --------------- *)
+
+(* [clients] raw connections from the calling thread (no client
+   threads), each sending one [bv-3] request under [batch = 1]; [f]
+   gets every connection's first response line while all of them are
+   still open. *)
+let with_raw_clients port clients f =
+  let fds =
+    List.init clients (fun _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+    (fun () ->
+      List.iter
+        (fun fd ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)))
+        fds;
+      List.iteri (fun i fd -> send fd (req (i + 1) "bv-3" ^ "\n")) fds;
+      f (List.map (fun fd -> input_line (Unix.in_channel_of_descr fd)) fds))
+
+let batch_one = { Session.default_config with Session.batch = 1 }
+
+(* OCaml 5.1 refuses a process its 129th domain.  Sessions are
+   systhreads on at most one host domain per core, so [clients_max] is
+   the only cap: 130 concurrent clients are all served. *)
+let test_more_clients_than_domains () =
+  let clients = 130 in
+  with_server ~clients_max:160 ~session:batch_one ~jobs:1 (fun port ->
+      with_raw_clients port clients (fun lines ->
+          check_int "every client served" clients
+            (List.length
+               (List.filter (fun line -> contains line {|"status":"ok"|}) lines))))
+
+(* Spare hosts exist only while they hold sessions.  With eight clients
+   connected and served, host 0 holds the first, one spare per
+   remaining core is spawned for the next, and the rest join the host
+   with the fewest sessions; once every client has hung up the spares
+   retire.  Polls by short sleeps; no wall-clock reads. *)
+let test_spare_hosts_retire () =
+  let clients = 8 in
+  let hosts () = Metrics.gauge_value (Metrics.gauge "serve.net.hosts") in
+  with_server ~session:batch_one ~jobs:1 (fun port ->
+      with_raw_clients port clients (fun lines ->
+          List.iter
+            (fun line -> check "served" true (contains line {|"status":"ok"|}))
+            lines;
+          check_int "one spare per core but host 0's"
+            (min clients (Domain.recommended_domain_count ()) - 1)
+            (int_of_float (hosts ())));
+      let rec retired polls =
+        if hosts () = 0.0 then true
+        else if polls = 0 then false
+        else begin
+          Unix.sleepf 0.01;
+          retired (polls - 1)
+        end
+      in
+      check "spare hosts retire once every client hung up" true (retired 500))
+
 (* ---- robustness: garbage kills one session, not the server ---------- *)
 
 let test_fuzz_blast_radius () =
@@ -570,6 +630,13 @@ let () =
             `Quick test_queue_full_same_bytes;
           Alcotest.test_case "server-full connection shedding" `Quick
             test_server_full_rejection;
+        ] );
+      ( "hosts",
+        [
+          Alcotest.test_case "more clients than the runtime has domains"
+            `Quick test_more_clients_than_domains;
+          Alcotest.test_case "spare hosts retire" `Quick
+            test_spare_hosts_retire;
         ] );
       ( "robustness",
         [
