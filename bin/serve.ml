@@ -17,7 +17,10 @@
    concurrent clients, each an isolated session (private cache, queue
    and epoch cursor) over a shared worker pool and a shared
    content-addressed compile store.  A single TCP client receives
-   byte-identical responses to the stdin loop for the same stream. *)
+   byte-identical responses to the stdin loop for the same stream.
+   SIGTERM or SIGINT stops the TCP server at once: it writes the
+   --metrics dump (and the trace's final metric snapshot) and exits 0
+   without waiting for its clients. *)
 
 module Service = Vqc_service.Service
 module Epoch = Vqc_service.Epoch
@@ -116,6 +119,13 @@ let run jobs batch queue_depth cache_capacity no_cache verify drift_threshold
           Service.with_service ~config epochs (fun service ->
               ignore (Session.run ~config:session service stdin stdout))
         | Some port ->
+          (* Blocked before the first thread or domain starts, so all of
+             them inherit the mask and a stop signal reaches only
+             [Thread.wait_signal] below.  A handler would run only once
+             some thread runs OCaml code, never while every session
+             waits on its socket. *)
+          let stop_signals = [ Sys.sigterm; Sys.sigint ] in
+          ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals : int list);
           let server =
             Server.start
               ~config:
@@ -130,7 +140,9 @@ let run jobs batch queue_depth cache_capacity no_cache verify drift_threshold
           in
           Printf.eprintf "vqc-serve: listening on 127.0.0.1:%d\n%!"
             (Server.port server);
-          Server.wait server);
+          (* no drain: the dump below and the exit do not wait on any
+             session or its socket *)
+          ignore (Thread.wait_signal stop_signals : int));
         Metrics.snapshot_to_trace ()
       in
       (match trace with
@@ -222,7 +234,8 @@ let tcp_term =
      queue and epoch cursor — over a shared worker pool and a shared \
      content-addressed compile store, so one client's compile becomes \
      every client's warm hit without ever changing anyone's \
-     deterministic response bytes."
+     deterministic response bytes.  SIGTERM or SIGINT stops the server \
+     at once, without waiting for its clients."
   in
   Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
 
@@ -247,8 +260,9 @@ let store_capacity_term =
 
 let metrics_term =
   let doc =
-    "At exit, dump the metric registry (cache hits/misses/evictions, \
-     queue accepted/rejected, compile latencies) to stderr."
+    "At exit (under --tcp, on SIGTERM or SIGINT), dump the metric \
+     registry (cache hits/misses/evictions, queue accepted/rejected, \
+     compile latencies) to stderr."
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 

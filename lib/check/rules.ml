@@ -11,9 +11,6 @@ let allowed_wall_clock =
     "lib/sim/monte_carlo.ml";
     "lib/service/service.ml";
     "lib/drift/recompiler.ml";
-    (* load generator: wall-clock reads feed per-request latency
-       percentiles, which are reported under "nd" only *)
-    "lib/serve_net/load.ml";
     "bench/main.ml";
   ]
 

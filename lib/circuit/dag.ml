@@ -74,5 +74,3 @@ let asap_levels d =
 let critical_path_length d =
   if gate_count d = 0 then 0
   else 1 + Array.fold_left max 0 (asap_levels d)
-
-let topological_order d = List.init (gate_count d) Fun.id

@@ -33,7 +33,3 @@ val asap_levels : t -> int array
 
 val critical_path_length : t -> int
 (** [1 + max asap level], i.e. the dependency depth (0 when empty). *)
-
-val topological_order : t -> int list
-(** A dependency-respecting order (the original gate order qualifies and
-    is what is returned). *)

@@ -91,13 +91,6 @@ let summarize values =
 
 let link_error_summary c = summarize (List.map (fun (_, _, e) -> e) (links c))
 
-let qubit_field_summary c field =
-  summarize (Array.to_list (Array.map field c.qubits))
-
-let t1_summary c = qubit_field_summary c (fun q -> q.t1_us)
-let t2_summary c = qubit_field_summary c (fun q -> q.t2_us)
-let error_1q_summary c = qubit_field_summary c (fun q -> q.error_1q)
-
 let scale_link_errors c ~mean_factor ~cov_factor =
   let stats = link_error_summary c in
   let new_mean = stats.mean *. mean_factor in

@@ -53,9 +53,6 @@ val summarize : float list -> summary
 (** @raise Invalid_argument on an empty list. *)
 
 val link_error_summary : t -> summary
-val t1_summary : t -> summary
-val t2_summary : t -> summary
-val error_1q_summary : t -> summary
 
 val scale_link_errors : t -> mean_factor:float -> cov_factor:float -> t
 (** Affine rescale of the two-qubit error distribution (paper Table 2):

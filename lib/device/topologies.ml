@@ -50,8 +50,6 @@ let fully_connected n =
 
 let pentagon = ring 5
 
-let mesh_2x3 = grid ~rows:2 ~cols:3
-
 (* Two rails of 7 (0-6 upper, 7-13 lower, lower reversed on the device)
    with a rung at every column. *)
 let ibm_q16_melbourne =

@@ -26,11 +26,6 @@ val fully_connected : int -> (int * int) list
 val pentagon : (int * int) list
 (** The 5-qubit ring of paper Figure 1(a). *)
 
-val mesh_2x3 : (int * int) list
-(** The 6-qubit mesh of paper Figures 3, 11 and 15, numbered
-    A=0 B=1 C=2 D=3 E=4 F=5 with rows A-D-E / B-C-F...  see the layout in
-    {!val:grid}: we use row-major 2×3 (0 1 2 / 3 4 5). *)
-
 val ibm_q16_melbourne : (int * int) list
 (** The 14-qubit IBM Q16 "Melbourne" ladder (two rails of 7 with rungs)
     — a sparser contemporary of the Q20, useful for cross-topology

@@ -31,7 +31,3 @@ let reverify ~device ~source ~physical ~initial ~final ~swaps =
       Diagnostic.errorf Diagnostic.code_malformed_plan
         "cached plan carries a malformed layout: %s" message;
     ]
-
-let decision_to_string = function
-  | Retain -> "retain"
-  | Recompile -> "recompile"

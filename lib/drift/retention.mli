@@ -55,5 +55,3 @@ val reverify :
     that do not form valid layouts come back as a [VQC108] diagnostic
     instead of an exception, so a corrupted cache entry demotes rather
     than crashes. *)
-
-val decision_to_string : decision -> string

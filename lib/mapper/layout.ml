@@ -87,21 +87,6 @@ let key l =
     Buffer.contents buffer
   end
 
-let diff_swap a b =
-  if physicals a <> physicals b || programs a <> programs b then None
-  else begin
-    let changed = ref [] in
-    Array.iteri
-      (fun phys prog -> if b.prog_of_phys.(phys) <> prog then changed := phys :: !changed)
-      a.prog_of_phys;
-    match !changed with
-    | [ u; v ] ->
-      let swapped = swap_physical a u v in
-      if swapped.phys_of_prog = b.phys_of_prog then Some (min u v, max u v)
-      else None
-    | _ -> None
-  end
-
 let equal a b = a.phys_of_prog = b.phys_of_prog
 
 let pp ppf l =

@@ -40,9 +40,5 @@ val used_physicals : t -> int list
 val key : t -> string
 (** Canonical serialization (for A* duplicate detection). *)
 
-val diff_swap : t -> t -> (int * int) option
-(** [diff_swap a b] is the physical pair whose exchange turns [a] into
-    [b], if the two layouts differ by exactly one swap. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -323,8 +323,6 @@ let start ?(config = default_config) epoch =
   t.accept_thread <- Some (Thread.create accept_loop t);
   t
 
-let wait t = Option.iter Thread.join t.accept_thread
-
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     (* wake the accept loop with a throwaway connection so it observes

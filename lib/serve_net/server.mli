@@ -72,10 +72,6 @@ val start : ?config:config -> Vqc_service.Epoch.t -> t
 val port : t -> int
 (** The bound port — the ephemeral port when [config.port] was 0. *)
 
-val wait : t -> unit
-(** Block until the accept loop exits (i.e. until {!stop} is called
-    from another thread of control, or never). *)
-
 val stop : t -> unit
 (** Stop accepting, wait for the live sessions to finish (they end
     when their clients hang up), join every spare host, and shut the

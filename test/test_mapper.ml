@@ -54,16 +54,6 @@ let test_layout_swap () =
   (* original untouched *)
   check_int "functional" 0 (Layout.physical_of_program l 0)
 
-let test_layout_diff_swap () =
-  let l = Layout.identity ~programs:3 ~physicals:4 in
-  let moved = Layout.swap_physical l 1 2 in
-  Alcotest.(check (option (pair int int))) "detects the swap" (Some (1, 2))
-    (Layout.diff_swap l moved);
-  Alcotest.(check (option (pair int int))) "no diff" None (Layout.diff_swap l l);
-  let double = Layout.swap_physical (Layout.swap_physical l 0 1) 2 3 in
-  Alcotest.(check (option (pair int int))) "two swaps is not one" None
-    (Layout.diff_swap l double)
-
 let test_layout_key_distinguishes () =
   let a = Layout.identity ~programs:2 ~physicals:3 in
   let b = Layout.swap_physical a 0 1 in
@@ -514,7 +504,6 @@ let () =
           Alcotest.test_case "identity" `Quick test_layout_identity;
           Alcotest.test_case "validation" `Quick test_layout_of_assignment_validation;
           Alcotest.test_case "swap" `Quick test_layout_swap;
-          Alcotest.test_case "diff swap" `Quick test_layout_diff_swap;
           Alcotest.test_case "keys" `Quick test_layout_key_distinguishes;
         ] );
       ( "cost",

@@ -19,7 +19,6 @@ module Epoch = Vqc_service.Epoch
 module Service = Vqc_service.Service
 module Session = Vqc_serve_net.Session
 module Server = Vqc_serve_net.Server
-module Load = Vqc_serve_net.Load
 module Diagnostic = Vqc_diag.Diagnostic
 module Metrics = Vqc_obs.Metrics
 
@@ -163,8 +162,8 @@ let with_server ?(clients_max = 16) ?(session = Session.default_config)
     ~finally:(fun () -> Server.stop server)
     (fun () -> f (Server.port server))
 
-(* Raw socket for the robustness tests: send exact bytes (including
-   broken ones Load.client would never produce), read exact lines. *)
+(* Raw socket: send exact bytes (broken ones included), read exact
+   lines. *)
 let with_raw_client port f =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -185,22 +184,48 @@ let read_all_lines fd =
   in
   go []
 
+(* One client replaying a request stream: the whole stream written, the
+   write side half-closed, every response read back, which is
+   [vqc-serve < file] over TCP.  The session answers one line per
+   request line, in order, so request [i] pairs with response [i]. *)
+let client ~port ~requests =
+  with_raw_client port (fun fd ->
+      send fd (String.concat "" (List.map (fun line -> line ^ "\n") requests));
+      read_all_lines fd)
+
+(* [clients] concurrent clients, each a systhread replaying
+   [requests index].  A failure is captured per client, so one refused
+   connection cannot hide the other clients' results. *)
+let concurrent_clients ~port ~clients ~requests =
+  let results = Array.make clients (Error "client thread never reported") in
+  let threads =
+    List.init clients (fun index ->
+        Thread.create
+          (fun () ->
+            results.(index) <-
+              (match client ~port ~requests:(requests index) with
+              | lines -> Ok lines
+              | exception e -> Error (Printexc.to_string e)))
+          ())
+  in
+  List.iter Thread.join threads;
+  results
+
 (* ---- single-client TCP = stdin, golden-enforced --------------------- *)
 
 let test_tcp_matches_stdin () =
   let lines = stream 0 in
   let _, golden = stdin_run ~config:(base_config ~jobs:1) lines in
   with_server ~jobs:1 (fun port ->
-      let result = Load.client ~port ~requests:lines () in
+      let result = client ~port ~requests:lines in
       check_int "one response per request" (List.length lines)
-        (List.length result.Load.lines);
+        (List.length result);
       List.iteri
         (fun i (expected, actual) ->
           check_string
             (Printf.sprintf "line %d: TCP = stdin" i)
             expected actual)
-        (List.combine (deterministic golden)
-           (deterministic result.Load.lines)))
+        (List.combine (deterministic golden) (deterministic result)))
 
 (* ---- the wire estimate rider, golden-enforced ----------------------- *)
 
@@ -236,7 +261,7 @@ let test_estimate_rider_golden () =
       check_lines (Printf.sprintf "stdin jobs=%d" jobs) lines)
     [ 1; 2 ];
   with_server ~epochs:q20_epochs ~service:estimate_service ~jobs:1 (fun port ->
-      check_lines "tcp" (Load.client ~port ~requests ()).Load.lines;
+      check_lines "tcp" (client ~port ~requests);
       (* the over-ceiling rider (the fixture's last line) alone: one
          error line, no trial run *)
       let over_ceiling = List.nth requests (List.length requests - 1) in
@@ -244,10 +269,10 @@ let test_estimate_rider_golden () =
         Metrics.counter_value (Metrics.counter "sim.estimator.runs")
       in
       let runs_before = runs () in
-      let result = Load.client ~port ~requests:[ over_ceiling ] () in
-      check_int "one response" 1 (List.length result.Load.lines);
+      let result = client ~port ~requests:[ over_ceiling ] in
+      check_int "one response" 1 (List.length result);
       check "an error response" true
-        (contains (List.hd result.Load.lines) {|"status":"error"|});
+        (contains (List.hd result) {|"status":"error"|});
       check_int "refused before any trial" runs_before (runs ()))
 
 (* ---- multi-client determinism wall ---------------------------------- *)
@@ -265,16 +290,14 @@ let test_multi_client_determinism () =
   List.iter
     (fun (jobs, clients) ->
       with_server ~jobs (fun port ->
-          let results =
-            Load.run ~port ~clients ~requests:(fun index -> stream index) ()
-          in
+          let results = concurrent_clients ~port ~clients ~requests:stream in
           Array.iteri
             (fun index result ->
               match result with
               | Error e ->
                 Alcotest.failf "jobs=%d clients=%d client %d: %s" jobs
                   clients index e
-              | Ok { Load.lines; _ } ->
+              | Ok lines ->
                 check
                   (Printf.sprintf
                      "jobs=%d clients=%d client %d matches its solo golden"
@@ -321,9 +344,9 @@ let test_queue_full_same_bytes () =
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
-      let result = Load.client ~port:(Server.port server) ~requests:lines () in
+      let result = client ~port:(Server.port server) ~requests:lines in
       check "queue-full bytes identical on TCP" true
-        (deterministic result.Load.lines = deterministic golden))
+        (deterministic result = deterministic golden))
 
 (* ---- connection-level load shedding --------------------------------- *)
 
@@ -481,9 +504,9 @@ let test_fuzz_blast_radius () =
             (contains (List.hd partial) "\"status\":\"error\"");
           (* and through all of it, a well-behaved client still gets its
              exact golden bytes *)
-          let clean = Load.client ~port ~requests:(stream 0) () in
+          let clean = client ~port ~requests:(stream 0) in
           check "well-behaved client unharmed by the chaos" true
-            (deterministic clean.Load.lines = golden)))
+            (deterministic clean = golden)))
 
 (* ---- the block line reader against the per-byte one ---------------- *)
 
